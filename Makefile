@@ -3,7 +3,7 @@ GO ?= go
 # releases.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
+.PHONY: all build test race bench bench-smoke bench-json bench-compare batch-scaling-smoke serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
 
 # Output of `make bench-json` (benchmarks as data; CI uploads it) and the
 # committed baseline `make bench-compare` diffs it against.
@@ -68,6 +68,14 @@ bench-compare:
 	$(MAKE) bench-json BENCH_JSON=$(BENCH_CI)
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) $(BENCH_CI)
 
+# Batched-decode gate: the repository benchmark's traced decode-packed
+# run must be correct and report serve.batch_scaling_b8 >= 1.5 — the
+# scheduler's tok/s at 8 live slots over 1 on one worker, 1.0 when every
+# slot runs its own forward. Reads the benchmark's output; edits nothing
+# under bench/.
+batch-scaling-smoke:
+	./scripts/batch_scaling_smoke.sh
+
 # End-to-end smoke of the HTTP serving front-end: build aptq-serve, start
 # it, issue the same generate request twice, assert byte-identical replies
 # — then once more as an SSE stream, asserting the assembled stream is
@@ -122,4 +130,4 @@ staticcheck:
 
 # Mirrors .github/workflows/ci.yml (staticcheck needs network on first
 # use to fetch the pinned binary; later runs hit the local cache).
-ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare serve-smoke latency-smoke router-smoke pressure-smoke
+ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare batch-scaling-smoke serve-smoke latency-smoke router-smoke pressure-smoke

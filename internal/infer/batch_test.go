@@ -235,7 +235,11 @@ func TestBatchKVQuantMatchesKVQuantSessions(t *testing.T) {
 	}
 	parallel.SetWorkers(3)
 	defer parallel.SetWorkers(0)
-	got := mustGenerate(t, NewBatchKVQuant(m, len(prompts), 4), 9, prompts, 5, 0.8)
+	b := NewBatch(m, len(prompts))
+	for i := range prompts {
+		b.Session(i).kvQuant = newKVQuantizer(4)
+	}
+	got := mustGenerate(t, b, 9, prompts, 5, 0.8)
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {

@@ -1,158 +1,111 @@
-// Zero-allocation single-token decode: the per-step twin of the chunked
-// prefill path. Where the original Step allocated every intermediate of
-// the block forward — projections, norms, MLP hiddens, attention
-// score/prob rows, the logits — each call (~3k allocations, ~1 MB per
-// token on the serving benchmark model), the decode path below routes
-// every operation through the ForwardInto entry points into a per-session
-// decodeScratch arena, so the steady state of a decoding session performs
-// zero heap allocations per token on the float path at one worker (a
-// property pinned by TestStepSteadyStateAllocs, exactly like the prefill
-// arena). Every scalar operation runs in the same order as the original
-// per-token implementation, so decode output is bit-identical — the same
-// contract the chunked prefill path upholds, verified by the existing
-// Step-vs-batch-forward and prefill bit-identity tests.
+// Cross-session batched decode: one block forward per tick over the
+// current tokens of B sessions, so every packed weight row is LUT-decoded
+// once per tick and applied to all B rows instead of once per session.
+// DecodeRows is the primitive; Step is its B = 1 case, and the serving
+// scheduler and Batch run it one DecodeRowGroup per worker. Steady-state
+// decode performs zero heap allocations per token on the float path at one
+// worker (pinned by TestStepSteadyStateAllocs).
 package infer
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/model"
-	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// decodeScratch is the reusable arena of the single-token decode path:
-// every 1 x Dim (and 1 x FF) intermediate of the block forward plus the
-// attention score/probability rows, allocated once per session and reused
-// for every Step of every request the session serves. It is deliberately
-// separate from the chunked prefill arena (chunkScratch): decode and
-// prefill interleave freely on a serving slot, and separate arenas keep
-// both steady states view-stable (no re-slicing churn when a Step follows
-// an Append or vice versa).
-type decodeScratch struct {
-	x, attnIn, q, k, v, ctx, proj *tensor.Mat // 1 x dim
-	h1, h2                        *tensor.Mat // 1 x ff
-	scores, probs                 []float64   // maxSeq
-	normed                        *tensor.Mat // 1 x dim
-	logits                        *tensor.Mat // 1 x vocab
-	tok                           [1]int      // reusable single-token slice backing
-}
-
-func newDecodeScratch(cfg model.Config) *decodeScratch {
-	return &decodeScratch{
-		x:      tensor.New(1, cfg.Dim),
-		attnIn: tensor.New(1, cfg.Dim),
-		q:      tensor.New(1, cfg.Dim),
-		k:      tensor.New(1, cfg.Dim),
-		v:      tensor.New(1, cfg.Dim),
-		ctx:    tensor.New(1, cfg.Dim),
-		proj:   tensor.New(1, cfg.Dim),
-		h1:     tensor.New(1, cfg.FF),
-		h2:     tensor.New(1, cfg.FF),
-		scores: make([]float64, cfg.MaxSeq),
-		probs:  make([]float64, cfg.MaxSeq),
-		normed: tensor.New(1, cfg.Dim),
-		logits: tensor.New(1, cfg.Vocab),
+// DecodeRows advances each session by one token in a single shared block
+// forward: row i is tokens[i] at sess[i]'s current position, attending to
+// sess[i]'s own KV cache. Afterwards sess[i].Logits() holds row i's
+// next-token logits. The sessions must be distinct and run over views of
+// one model; the forward uses the first admitted session's arena.
+//
+// Errors are per row: errs[i] reports a session that is out of context
+// (MaxSeq) or whose KV reservation failed (ErrPoolExhausted, retryable).
+// Such a row is left out of the forward with its session bit-for-bit
+// unchanged, and the other rows' results are what they would be without
+// it — or with any other set of neighbours: a row's logits and KV bytes do
+// not depend on the batch it rides in. If the forward panics, every
+// session is rolled back to its pre-call position before the panic
+// propagates.
+//
+//aptq:noalloc
+func DecodeRows(sess []*Session, tokens []int, errs []error) {
+	if len(tokens) != len(sess) || len(errs) != len(sess) {
+		panic("infer: DecodeRows needs one token and one error slot per session")
+	}
+	var sc *chunkScratch
+	for i, s := range sess {
+		if errs[i] = s.admit(1); errs[i] != nil {
+			continue
+		}
+		if sc == nil {
+			sc = s.ensureScratch(len(sess)) //aptq:ignore noalloc the arena is allocated once and regrown only when a wider forward arrives
+		}
+		sc.add(s, s.pos, tokens[i])
+	}
+	if sc != nil {
+		sc.forward(0)
 	}
 }
 
-// ensureDecodeScratch returns the session's decode arena, allocating it on
-// first use (and keeping it across Reset, so a recycled scheduler slot
-// decodes allocation-free from its first token).
-func (s *Session) ensureDecodeScratch() *decodeScratch {
-	if s.dscratch == nil {
-		s.dscratch = newDecodeScratch(s.m.Cfg)
-	}
-	return s.dscratch
+// RowGroups returns how many contiguous groups n decode rows are cut into
+// for one tick: one DecodeRows forward per worker. Workers are used by row
+// groups, not by splitting weight rows inside a projection: at decode
+// sizes a split projection is slower than a serial one (the kernels keep
+// it serial), while each group still decodes a weight row once for its rows.
+func RowGroups(n int) int { return min(parallel.Workers(), n) }
+
+// RowPanic is the error of a decode row whose forward panicked with the
+// row running alone: the fault is that row's own.
+type RowPanic struct{ Value any }
+
+func (e *RowPanic) Error() string { return fmt.Sprintf("infer: decode row panicked: %v", e.Value) }
+
+// DecodeRowGroup runs group g of the groups = RowGroups(len(sess))
+// contiguous groups of the rows as one DecodeRows forward: one worker's
+// item, safe to run beside the other groups'. A panic in the shared forward
+// does not fail the rows that merely shared it: DecodeRows has rolled every
+// member back, so they re-run one at a time — the same forward at B = 1 —
+// and only a row that panics alone reports a *RowPanic; its neighbours come
+// out bit-identical to an undisturbed forward.
+//
+//aptq:noalloc
+func DecodeRowGroup(sess []*Session, tokens []int, errs []error, groups, g int) {
+	lo, hi := g*len(sess)/groups, (g+1)*len(sess)/groups
+	defer rerunAlone(sess[lo:hi], tokens[lo:hi], errs[lo:hi])
+	DecodeRows(sess[lo:hi], tokens[lo:hi], errs[lo:hi])
 }
 
-// Step consumes one token and returns the next-token logits (1 x vocab).
+// rerunAlone is DecodeRowGroup's recover barrier: the cold path.
+func rerunAlone(sess []*Session, tokens []int, errs []error) {
+	switch r := recover(); {
+	case r == nil:
+	case len(sess) == 1:
+		errs[0] = &RowPanic{r} //aptq:ignore noalloc only when a row's forward panics
+	default:
+		for i := range sess {
+			DecodeRowGroup(sess, tokens, errs, len(sess), i)
+		}
+	}
+}
+
+// Step consumes one token and returns the next-token logits (1 x vocab):
+// DecodeRows over this session alone.
 //
 // The returned matrix is owned by the session and overwritten by its next
-// Step/Append/Prefill — the same arena-owned contract as Append; clone it
-// to retain it past that. (Sampling the next token before stepping again,
-// the pattern of every decode loop in this repository, needs no clone.)
+// Step/Append/Prefill; clone it to retain it past that. (Sampling the next
+// token before stepping again, the pattern of every decode loop in this
+// repository, needs no clone.)
 //
 //aptq:noalloc
 func (s *Session) Step(token int) (*tensor.Mat, error) {
-	if s.pos >= s.m.Cfg.MaxSeq {
-		return nil, fmt.Errorf("infer: sequence length %d exceeds MaxSeq %d", s.pos+1, s.m.Cfg.MaxSeq) //aptq:ignore noalloc cold error path: an out-of-budget request never reaches the decode steady state
+	sess := [1]*Session{s}
+	tokens := [1]int{token}
+	var errs [1]error
+	DecodeRows(sess[:], tokens[:], errs[:])
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
-	// Reserve this position's KV row in every block before any compute: on
-	// a budgeted pool this is where ErrPoolExhausted surfaces, with the
-	// session untouched so the same Step can be retried after the scheduler
-	// frees pages.
-	if err := s.reserveKV(1); err != nil {
-		return nil, err
-	}
-	sc := s.ensureDecodeScratch() //aptq:ignore noalloc decode arena is allocated once per session and reused by every Step
-	sc.tok[0] = token
-	s.m.EmbedChunkInto(sc.x, sc.tok[:], s.pos)
-	for bi, b := range s.m.Blocks {
-		s.decodeBlock(b, s.caches[bi], sc)
-	}
-	s.pos++
-	s.m.Norm.ForwardInto(sc.normed, sc.x)
-	s.m.Head.ForwardInto(sc.logits, sc.normed)
-	return sc.logits, nil
-}
-
-// decodeBlock runs one decoder block for a single position with KV
-// caching, with the same per-element operation order as the allocating
-// implementation it replaced (x + attnOut, then h + mlpOut), so the
-// residual stream is bit-identical.
-func (s *Session) decodeBlock(b *nn.Block, c *kvCache, sc *decodeScratch) {
-	b.AttnNorm.ForwardInto(sc.attnIn, sc.x)
-	s.decodeAttention(b.Attn, c, sc)
-	tensor.AddInPlace(sc.x, sc.proj) // x = x + attnOut
-	// attnIn is free once attention ran; reuse it for the MLP norm output.
-	b.MLPNorm.ForwardInto(sc.attnIn, sc.x)
-	b.MLP.ForwardInto(sc.proj, sc.attnIn, sc.h1, sc.h2)
-	tensor.AddInPlace(sc.x, sc.proj) // x = x + mlpOut
-}
-
-// decodeAttention computes causal attention for the newest position
-// against the cached keys/values and writes WO's projection of the context
-// into sc.proj: the same score order, softmax and value-accumulation order
-// as the chunked path's row loop, restricted to one row.
-func (s *Session) decodeAttention(attn *nn.Attention, c *kvCache, sc *decodeScratch) {
-	heads, hd := attn.Heads, attn.HeadDim
-
-	attn.WQ.ForwardInto(sc.q, sc.attnIn)
-	attn.WK.ForwardInto(sc.k, sc.attnIn)
-	attn.WV.ForwardInto(sc.v, sc.attnIn)
-	applyRoPEAt(attn, sc.q, s.pos)
-	applyRoPEAt(attn, sc.k, s.pos)
-
-	if s.kvQuant != nil {
-		s.kvQuant.QuantizeInPlace(sc.k)
-		s.kvQuant.QuantizeInPlace(sc.v)
-	}
-	c.grow()
-	copy(c.kRow(c.len), sc.k.Row(0))
-	copy(c.vRow(c.len), sc.v.Row(0))
-	c.len++
-
-	invSqrt := 1 / math.Sqrt(float64(hd))
-	scores := sc.scores[:c.len]
-	probs := sc.probs[:c.len]
-	ctxRow := sc.ctx.Row(0)
-	for j := range ctxRow {
-		ctxRow[j] = 0
-	}
-	qrow := sc.q.Row(0)
-	for h := 0; h < heads; h++ {
-		lo := h * hd
-		qh := qrow[lo : lo+hd]
-		for t := 0; t < c.len; t++ {
-			scores[t] = tensor.Dot(qh, c.kRow(t)[lo:lo+hd]) * invSqrt
-		}
-		tensor.Softmax(probs, scores)
-		out := ctxRow[lo : lo+hd]
-		for t := 0; t < c.len; t++ {
-			tensor.Axpy(probs[t], c.vRow(t)[lo:lo+hd], out)
-		}
-	}
-	attn.WO.ForwardInto(sc.proj, sc.ctx)
+	return s.logits, nil
 }

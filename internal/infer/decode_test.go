@@ -9,8 +9,8 @@ import (
 	"repro/internal/parallel"
 )
 
-// TestStepSteadyStateAllocs pins the decode-arena property — the decode
-// mirror of TestAppendSteadyStateAllocs: once a session has decoded one
+// TestStepSteadyStateAllocs pins the forward-arena property at B = 1 — the
+// decode mirror of TestAppendSteadyStateAllocs: once a session has decoded one
 // sequence (scratch arena sized, KV chunks and LUT tables warm), further
 // decode steps on the float path allocate nothing at one worker, and the
 // packed path is bounded by the pooled decode buffers' noise.
@@ -119,10 +119,10 @@ func TestSamplerMatchesSampleLogits(t *testing.T) {
 	}
 }
 
-// TestStepLogitsArenaOwned documents the arena-owned return contract: the
-// matrix returned by Step is overwritten by the next Step, and a clone
+// TestStepLogitsSessionOwned documents the session-owned return contract:
+// the matrix returned by Step is overwritten by the next Step, and a clone
 // taken before the overwrite preserves the values.
-func TestStepLogitsArenaOwned(t *testing.T) {
+func TestStepLogitsSessionOwned(t *testing.T) {
 	m := model.New(model.Tiny(), 3)
 	sess := NewSession(m.View())
 	first, err := sess.Step(3)
@@ -135,9 +135,9 @@ func TestStepLogitsArenaOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if &first.Data[0] != &second.Data[0] {
-		t.Fatal("consecutive Steps must reuse the arena-owned logits buffer")
+		t.Fatal("consecutive Steps must reuse the session-owned logits buffer")
 	}
 	if first.Equal(keep, 0) {
-		t.Fatal("second Step did not overwrite the arena (logits identical across different positions?)")
+		t.Fatal("second Step did not overwrite the buffer (logits identical across different positions?)")
 	}
 }

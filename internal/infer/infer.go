@@ -1,8 +1,8 @@
-// Package infer provides an incremental-decoding path for the model: a
-// KV-cached forward pass that processes one token at a time, plus sampling
-// utilities. This is the code path an edge deployment of an APTQ-quantized
-// model would actually run — the paper's motivating use case — and it is
-// verified token-for-token against the batch forward pass.
+// Package infer provides the incremental-decoding path of the model: a
+// KV-cached block forward over prompt chunks and cross-session decode
+// batches, plus sampling utilities. This is the code path an edge
+// deployment of an APTQ-quantized model would actually run — the paper's
+// motivating use case — verified token-for-token against model.Forward.
 package infer
 
 import (
@@ -11,15 +11,12 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
 // ErrEmptyPrompt is returned by Prefill (and everything built on it) when
-// the prompt has no tokens: there are no logits to return. It replaces the
-// previous (nil, nil) result, which forced every caller to pair the call
-// with a nil check.
+// the prompt has no tokens: there are no logits to return.
 var ErrEmptyPrompt = errors.New("infer: empty prompt")
 
 // kvCache stores the per-block key/value history of one sequence as a
@@ -44,40 +41,17 @@ func newKVCache(pool *KVPagePool) *kvCache {
 	return &kvCache{dim: pool.dim, rows: pool.rows, pool: pool}
 }
 
-// kRow and vRow return mutable views of row t (t < len for reads; t == len
-// is valid immediately after grow).
+// kRow and vRow return mutable views of row t (t < len for reads; rows
+// from len on are writable once reserved).
 func (c *kvCache) kRow(t int) []float64 { return c.pages[t/c.rows].k.Row(t % c.rows) }
 func (c *kvCache) vRow(t int) []float64 { return c.pages[t/c.rows].v.Row(t % c.rows) }
 
-// grow makes row index c.len writable: at a page boundary past the leased
-// pages it leases a fresh (exclusive) page from the pool, and when the
-// write would land in a page that is still shared with another holder —
-// only possible after a rollback into adopted pages — it first copies the
-// rows this cache still owns into a fresh exclusive page (copy-on-write,
-// tail page only), so a full, shared page is immutable for as long as
-// anyone else references it.
-func (c *kvCache) grow() {
-	if c.len == len(c.pages)*c.rows {
-		c.pages = append(c.pages, c.pool.get()) //aptq:ignore noalloc KV cache grows by fixed pages: amortized O(1/PageRows) per token and free-list recycled, pinned by the steady-state alloc tests
-		return
-	}
-	pi := c.len / c.rows
-	tail := c.pages[pi]
-	if tail.refs.Load() > 1 {
-		fresh := c.pool.get()
-		for r := 0; r < c.len%c.rows; r++ {
-			copy(fresh.k.Row(r), tail.k.Row(r))
-			copy(fresh.v.Row(r), tail.v.Row(r))
-		}
-		c.pages[pi] = fresh
-		c.pool.release(tail)
-	}
-}
-
 // reserve makes rows [c.len, c.len+n) writable up front: it leases every
 // page the write range needs and copy-on-writes any still-shared page in
-// that range, so the grow calls issued later by the forward pass are
-// guaranteed no-ops. All budget failures therefore surface here — before
+// that range — only possible after a rollback into adopted pages — so a
+// full, shared page is immutable for as long as anyone else references it.
+// It is the only place a cache leases pages: the forward pass just writes
+// the rows it reserved. All budget failures therefore surface here — before
 // any compute runs or any row is written — which is what makes
 // ErrPoolExhausted retryable: a failed reserve releases the pages it
 // leased in this call and leaves the cache exactly as it found it.
@@ -141,16 +115,15 @@ func (c *kvCache) releaseWarm() {
 	c.pages = c.pages[:keep]
 }
 
-// appendRows bulk-appends the corresponding rows of k and v (T x dim) —
-// the chunked-prefill form of the grow/copy/len++ sequence Step runs per
-// token, writing the exact same bytes to the exact same rows.
-func (c *kvCache) appendRows(k, v *tensor.Mat) {
-	for t := 0; t < k.Rows; t++ {
-		c.grow()
-		copy(c.kRow(c.len), k.Row(t))
-		copy(c.vRow(c.len), v.Row(t))
-		c.len++
+// appendRow writes one key/value row pair at position c.len, which the
+// caller has reserved.
+func (c *kvCache) appendRow(k, v []float64) {
+	if c.pages[c.len/c.rows].refs.Load() > 1 {
+		panic("infer: KV row written without a reservation (its page is still shared)")
 	}
+	copy(c.kRow(c.len), k)
+	copy(c.vRow(c.len), v)
+	c.len++
 }
 
 // truncate rolls the cache back to n valid rows — the Prefill
@@ -200,14 +173,15 @@ type Session struct {
 	// consumer on edge devices beside the weights. Per-row (per-token,
 	// per-layer) dynamic grids.
 	kvQuant *quant.ActQuantizer
-	// scratch is the reusable arena of the chunked prefill path, sized on
-	// first use and kept across Reset so a recycled scheduler slot
-	// allocates nothing per chunk in steady state.
+	// scratch is the reusable arena of the block forward (prefill.go),
+	// sized on first use and kept across Reset so a recycled scheduler slot
+	// allocates nothing per forward in steady state.
 	scratch *chunkScratch
-	// dscratch is the reusable arena of the single-token decode path (see
-	// decode.go), allocated on first Step and likewise kept across Reset,
-	// so steady-state decode allocates nothing per token.
-	dscratch *decodeScratch
+	// logits holds the next-token logits of the session's latest forward
+	// (1 x vocab). Owned by the session, not an arena: a shared forward runs
+	// on one member's arena, which later forwards of other groups reuse
+	// before every member has sampled.
+	logits *tensor.Mat
 }
 
 // NewSession creates a decoding session with empty caches over a private
@@ -222,7 +196,7 @@ func NewSession(m *model.Model) *Session {
 // at that bit width (see NewSessionKVQuant). All sessions over one pool
 // must share the model's Dim and MaxSeq — the pool's page shape.
 func NewSessionPooled(m *model.Model, pool *KVPagePool, kvBits int) *Session {
-	s := &Session{m: m, pool: pool}
+	s := &Session{m: m, pool: pool, logits: tensor.New(1, m.Cfg.Vocab)}
 	for range m.Blocks {
 		s.caches = append(s.caches, newKVCache(pool))
 	}
@@ -252,6 +226,10 @@ func newKVQuantizer(kvBits int) *quant.ActQuantizer {
 // Pos returns the number of tokens consumed so far.
 func (s *Session) Pos() int { return s.pos }
 
+// Logits returns the next-token logits (1 x vocab) of the session's latest
+// successful forward, owned by the session and overwritten by its next.
+func (s *Session) Logits() *tensor.Mat { return s.logits }
+
 // Reset clears the caches for a new sequence, releasing every page
 // reference back to the pool. Pages this session was the last holder of
 // land on the pool's free list and are leased again by later growth, so a
@@ -267,7 +245,7 @@ func (s *Session) Reset() {
 // reserveKV reserves n more rows of KV capacity in every block's cache,
 // leasing (and copy-on-writing) all pages the next n appended rows will
 // touch. It is the single point where a budgeted pool's ErrPoolExhausted
-// surfaces: Step, Append and ImportKV reserve before running any compute,
+// surfaces: DecodeRows, Append and ImportKV reserve before running any compute,
 // so a failed call leaves the session bit-for-bit unchanged and the exact
 // same call can be retried once the scheduler frees pages. On failure the
 // reservations already made (including pre-existing warm capacity in
@@ -302,19 +280,6 @@ func (s *Session) KVCacheBytes() int {
 	return n
 }
 
-// applyRoPEAt rotates a single-row matrix as if it sat at sequence
-// position pos. RoPE.ApplyAt rotates the row in place with the tables of
-// that position, so incremental decode costs O(dim) per projection instead
-// of the O(pos·dim) padded-matrix embedding it used previously (which made
-// a full decode O(seq²) in allocations and rotation work per layer).
-// No-op for non-rotary architectures.
-func applyRoPEAt(attn *nn.Attention, row *tensor.Mat, pos int) {
-	if attn.Rope == nil {
-		return
-	}
-	attn.Rope.ApplyAt(row, pos)
-}
-
 // Prefill consumes a prompt and returns the logits after its last token,
 // processing the prompt in DefaultPrefillChunk-sized batched chunks (see
 // Append) — bit-identical to feeding the prompt through Step token by
@@ -325,8 +290,7 @@ func applyRoPEAt(attn *nn.Attention, row *tensor.Mat, pos int) {
 // An empty prompt returns ErrEmptyPrompt: there is no last token to
 // report logits for. On any error the session is rolled back to its
 // pre-call state (position and KV caches), so a failed Prefill never
-// leaves a half-advanced session with a poisoned cache; previously the
-// session kept the tokens consumed before the failure.
+// leaves a half-advanced session with a poisoned cache.
 func (s *Session) Prefill(prompt []int) (*tensor.Mat, error) {
 	return s.PrefillChunked(prompt, DefaultPrefillChunk)
 }
@@ -376,17 +340,16 @@ func (s *Session) PrefillChunkedCtx(ctx context.Context, prompt []int, chunk int
 		}
 		logits = l
 	}
-	// The arena-owned logits row is cloned so callers may hold it across
-	// later use of the session (the contract of the pre-chunking Prefill).
-	return logits.Clone(), nil //aptq:ignore noalloc documented contract: the logits row is cloned out of the arena once per prefill call
+	// The session-owned logits row is cloned so callers may hold it across
+	// later use of the session.
+	return logits.Clone(), nil //aptq:ignore noalloc documented contract: the logits row is cloned out of the session once per prefill call
 }
 
-// PrefillLoop consumes the prompt one Step at a time — the pre-chunking
-// reference implementation, kept as the bit-identity oracle of the
-// chunked path and the baseline of the BenchmarkPrefill pairs. It shares
+// PrefillLoop consumes the prompt one Step at a time — the bit-identity
+// oracle of the chunked path and the baseline of the BenchmarkPrefill pairs. It shares
 // Prefill's contract, including rollback on error and the cloned return
-// (Step's logits live in the decode arena; the clone keeps them valid
-// across later use of the session).
+// (Step's logits live in the session's logits buffer; the clone keeps
+// them valid across later use of the session).
 func (s *Session) PrefillLoop(prompt []int) (*tensor.Mat, error) {
 	if len(prompt) == 0 {
 		return nil, ErrEmptyPrompt
@@ -444,11 +407,9 @@ func (s *Session) Generate(rng *rand.Rand, prompt []int, n int, temperature floa
 // bias: an empty logits slice returns -1 (no valid token); logits that
 // are all -Inf — a fully masked distribution — sample uniformly (the
 // greedy path returns index 0), matching tensor.Softmax's uniform
-// fallback rather than the NaN cascade that previously always yielded the
-// last token; and NaN logits are treated as masked (-Inf), so a numerical
+// fallback; and NaN logits are treated as masked (-Inf), so a numerical
 // blow-up in one vocab entry can never be selected. All-NaN logits behave
-// exactly like all--Inf. Previously a NaN in position 0 made the greedy
-// scan (`v > logits[best]`) never update and silently return index 0.
+// exactly like all--Inf.
 //
 // Each call runs on fresh scratch; decode loops that sample every token
 // should hold a Sampler instead, which reuses its buffers across calls

@@ -96,17 +96,26 @@ func TestKVCacheResetRecyclesPagesAndMatchesFresh(t *testing.T) {
 	}
 }
 
+// mustReserve makes row c.len writable — what a forward's admit does before
+// it appends.
+func mustReserve(t *testing.T, c *kvCache) {
+	t.Helper()
+	if err := c.reserve(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestKVCacheRowStability: growing the cache past a page boundary must
 // not move rows already handed out — referenced pages are never
 // reallocated — so attention's in-flight row views stay valid.
 func TestKVCacheRowStability(t *testing.T) {
 	c := newKVCache(NewPagePool(8, 64))
-	c.grow()
+	mustReserve(t, c)
 	row0 := c.kRow(0)
 	row0[0] = 42
 	c.len = 1
 	for c.len < 3*c.rows { // cross two page boundaries
-		c.grow()
+		mustReserve(t, c)
 		copy(c.kRow(c.len), make([]float64, c.dim))
 		c.len++
 	}
@@ -126,7 +135,7 @@ func TestKVCacheTinyMaxSeq(t *testing.T) {
 		t.Fatalf("page rows = %d, want clamped to MaxSeq 4", c.rows)
 	}
 	for i := 0; i < 4; i++ {
-		c.grow()
+		mustReserve(t, c)
 		c.len++
 	}
 	if got, want := c.bytes(), 2*4*8*8; got != want {
@@ -141,7 +150,7 @@ func TestKVCacheCopyOnWriteTail(t *testing.T) {
 	pool := NewPagePool(4, 64)
 	c := newKVCache(pool)
 	for i := 0; i < c.rows; i++ {
-		c.grow()
+		mustReserve(t, c)
 		c.kRow(c.len)[0] = float64(i)
 		c.vRow(c.len)[0] = float64(-i)
 		c.len++
@@ -152,9 +161,9 @@ func TestKVCacheCopyOnWriteTail(t *testing.T) {
 	// Roll back into the shared page and overwrite its last row: the
 	// cache must copy, not mutate the shared bytes.
 	c.truncate(c.rows - 1)
-	c.grow()
+	mustReserve(t, c)
 	if c.pages[0] == shared {
-		t.Fatal("grow wrote into a shared page instead of copying")
+		t.Fatal("reserve left a shared page in the write range instead of copying")
 	}
 	c.kRow(c.len)[0] = 99
 	c.len++
@@ -183,13 +192,13 @@ func TestKVCacheExclusiveTailSkipsCopy(t *testing.T) {
 	pool := NewPagePool(4, 64)
 	c := newKVCache(pool)
 	for i := 0; i < 3; i++ {
-		c.grow()
+		mustReserve(t, c)
 		c.len++
 	}
 	tail := c.pages[0]
 	c.truncate(1)
-	c.grow()
+	mustReserve(t, c)
 	if c.pages[0] != tail {
-		t.Fatal("grow copied an exclusively owned tail page")
+		t.Fatal("reserve copied an exclusively owned tail page")
 	}
 }

@@ -94,10 +94,7 @@ func (s *Session) ImportKV(sp *KVSpan) error {
 	}
 	for bi, c := range s.caches {
 		for t := 0; t < sp.Tokens(); t++ {
-			c.grow()
-			copy(c.kRow(c.len), sp.k[bi].Row(t))
-			copy(c.vRow(c.len), sp.v[bi].Row(t))
-			c.len++
+			c.appendRow(sp.k[bi].Row(t), sp.v[bi].Row(t))
 		}
 	}
 	s.pos = sp.End

@@ -229,18 +229,6 @@ func (p *KVPagePool) lease() (*kvPage, error) {
 	}
 }
 
-// get is lease for paths that reserved capacity up front (kvCache.grow)
-// or run on unbounded pools: exhaustion here is a reservation-protocol bug,
-// not an operational condition, so it panics instead of plumbing an error
-// through the zero-alloc forward pass.
-func (p *KVPagePool) get() *kvPage {
-	pg, err := p.lease()
-	if err != nil {
-		panic("infer: page lease without reservation on a budgeted pool: " + err.Error())
-	}
-	return pg
-}
-
 // retain adds a reference to pg on behalf of a new holder.
 func (p *KVPagePool) retain(pg *kvPage) { pg.refs.Add(1) }
 

@@ -1,14 +1,15 @@
-// Chunked prefill: the batched prompt path of a decoding session. Where
-// Step feeds one token through the model per call — a 1 x Dim matvec
-// sweep and an O(seq) attention re-read per token — Append processes a
-// T x Dim chunk of prompt tokens in a single block forward: matrix-matrix
-// projections (which route packed weights through the LUT decode kernel
-// and amortize each weight-row decode over the whole chunk), causal
-// multi-row attention, a bulk KV-cache append, and multi-row RoPE/norms,
-// all through a reusable scratch arena so the steady state allocates
-// nothing per chunk. Every scalar operation runs in the same order as the
-// Step loop, so the chunked path is bit-identical to it at any chunk size
-// and worker count — the property the prefill tests pin down.
+// The block forward: the one code path every token takes through the
+// model. A forward runs T rows through every decoder block — matrix-matrix
+// projections (which decode each packed weight row once for all T rows),
+// multi-row norms and MLP — while RoPE / learned positions, the KV append,
+// KV quantization and causal attention run per row against that row's own
+// sequence: every row carries its session and its absolute position.
+// Append feeds it T consecutive rows of one session (a prompt chunk);
+// DecodeRows (decode.go) one row from each of B sessions (a decode tick).
+// Rows are independent and every output element keeps its ascending-k
+// accumulation order in both the 4-row-blocked and single-row kernel loops,
+// so a row's logits and KV bytes do not depend on which rows share its
+// forward — the property the batch-composition tests pin down.
 package infer
 
 import (
@@ -27,73 +28,75 @@ import (
 // chunk-by-chunk keeps its decode ticks responsive.
 const DefaultPrefillChunk = 16
 
-// chunkScratch is the reusable arena of the chunked prefill path: every
-// T x Dim (and T x FF) intermediate of the block forward plus the per-row
-// attention score/probability rows, allocated once per session and reused
-// for every chunk of every request the session serves.
+// chunkScratch is the reusable arena of the block forward: the rows being
+// forwarded (session, position, token) plus every T x Dim (and T x FF)
+// intermediate and the per-row attention score/probability rows. A session
+// allocates one on first use and keeps it across Reset; a forward over
+// several sessions runs on the arena of its first row's session.
 type chunkScratch struct {
-	rows int // current view size
-	cap  int // allocated rows
+	cap int // allocated rows
 
-	// Full-capacity backing matrices.
-	xb, attnInb, qb, kb, vb, ctxb, projb *tensor.Mat // cap x dim
-	h1b, h2b                             *tensor.Mat // cap x ff
-	scoresb, probsb                      *tensor.Mat // cap x maxSeq
+	// The rows of the current forward, index-aligned: row t belongs to
+	// sess[t], sits at absolute position pos[t] of that sequence and
+	// carries token ids[t]. Backed by cap-sized arrays.
+	sess []*Session
+	pos  []int
+	ids  []int
 
-	// Views of the first rows rows of the backing matrices, re-sliced only
-	// when the chunk size changes (e.g. a prompt's final partial chunk).
-	x, attnIn, q, k, v, ctx, proj *tensor.Mat
-	h1, h2                        *tensor.Mat
-	scores, probs                 *tensor.Mat
-	last                          *tensor.Mat // final row of x, 1 x dim
-
-	normed, logits *tensor.Mat // 1 x dim, 1 x vocab
+	// The intermediates, allocated at cap rows and held by value: each
+	// forward re-slices them in place to its T rows (setRows), so a forward
+	// whose row count differs from the previous one's allocates nothing.
+	x, attnIn, q, k, v, ctx, proj tensor.Mat // T x dim
+	h1, h2                        tensor.Mat // T x ff
+	// normed and logits are the final norm and head outputs of tail, rows
+	// [from, T) of x: the rows whose logits the forward reports.
+	tail, normed, logits tensor.Mat
+	scores, probs        *tensor.Mat // cap x maxSeq, row t owned by forward row t
 }
 
 func newChunkScratch(cfg model.Config, rows int) *chunkScratch {
-	sc := &chunkScratch{
-		cap:     rows,
-		xb:      tensor.New(rows, cfg.Dim),
-		attnInb: tensor.New(rows, cfg.Dim),
-		qb:      tensor.New(rows, cfg.Dim),
-		kb:      tensor.New(rows, cfg.Dim),
-		vb:      tensor.New(rows, cfg.Dim),
-		ctxb:    tensor.New(rows, cfg.Dim),
-		projb:   tensor.New(rows, cfg.Dim),
-		h1b:     tensor.New(rows, cfg.FF),
-		h2b:     tensor.New(rows, cfg.FF),
-		scoresb: tensor.New(rows, cfg.MaxSeq),
-		probsb:  tensor.New(rows, cfg.MaxSeq),
-		normed:  tensor.New(1, cfg.Dim),
-		logits:  tensor.New(1, cfg.Vocab),
+	mat := func(cols int) tensor.Mat { return *tensor.New(rows, cols) }
+	return &chunkScratch{
+		cap:    rows,
+		sess:   make([]*Session, 0, rows),
+		pos:    make([]int, 0, rows),
+		ids:    make([]int, 0, rows),
+		x:      mat(cfg.Dim),
+		attnIn: mat(cfg.Dim),
+		q:      mat(cfg.Dim),
+		k:      mat(cfg.Dim),
+		v:      mat(cfg.Dim),
+		ctx:    mat(cfg.Dim),
+		proj:   mat(cfg.Dim),
+		h1:     mat(cfg.FF),
+		h2:     mat(cfg.FF),
+		normed: mat(cfg.Dim),
+		logits: mat(cfg.Vocab),
+		scores: tensor.New(rows, cfg.MaxSeq),
+		probs:  tensor.New(rows, cfg.MaxSeq),
 	}
-	sc.setRows(rows)
-	return sc
 }
 
-// setRows re-slices the working views to T rows. A no-op (and therefore
-// allocation-free) while consecutive chunks share a size.
-func (sc *chunkScratch) setRows(T int) {
-	if sc.rows == T {
-		return
-	}
-	sc.rows = T
-	sc.x = sc.xb.SliceRows(0, T)
-	sc.attnIn = sc.attnInb.SliceRows(0, T)
-	sc.q = sc.qb.SliceRows(0, T)
-	sc.k = sc.kb.SliceRows(0, T)
-	sc.v = sc.vb.SliceRows(0, T)
-	sc.ctx = sc.ctxb.SliceRows(0, T)
-	sc.proj = sc.projb.SliceRows(0, T)
-	sc.h1 = sc.h1b.SliceRows(0, T)
-	sc.h2 = sc.h2b.SliceRows(0, T)
-	sc.scores = sc.scoresb.SliceRows(0, T)
-	sc.probs = sc.probsb.SliceRows(0, T)
-	sc.last = sc.xb.SliceRows(T-1, T)
+// rowsView returns rows [lo, hi) of b as a value (tensor.Mat.SliceRows
+// without the allocation).
+func rowsView(b *tensor.Mat, lo, hi int) tensor.Mat {
+	return tensor.Mat{Rows: hi - lo, Cols: b.Cols, Data: b.Data[lo*b.Cols : hi*b.Cols]}
 }
 
-// ensureScratch returns the session scratch sized for a T-row chunk,
-// (re)allocating only when T exceeds the current capacity.
+// setRows re-slices the intermediates for a forward of T rows that reports
+// the logits of rows [from, T).
+func (sc *chunkScratch) setRows(T, from int) {
+	for _, m := range [...]*tensor.Mat{&sc.x, &sc.attnIn, &sc.q, &sc.k, &sc.v, &sc.ctx, &sc.proj, &sc.h1, &sc.h2} {
+		m.Rows, m.Data = T, m.Data[:T*m.Cols]
+	}
+	for _, m := range [...]*tensor.Mat{&sc.normed, &sc.logits} {
+		m.Rows, m.Data = T-from, m.Data[:(T-from)*m.Cols]
+	}
+	sc.tail = rowsView(&sc.x, from, T)
+}
+
+// ensureScratch returns the session's arena emptied for a forward of up to
+// T rows, (re)allocating only when T exceeds the current capacity.
 func (s *Session) ensureScratch(T int) *chunkScratch {
 	if s.scratch == nil || s.scratch.cap < T {
 		capRows := T
@@ -102,20 +105,40 @@ func (s *Session) ensureScratch(T int) *chunkScratch {
 		}
 		s.scratch = newChunkScratch(s.m.Cfg, capRows)
 	}
-	s.scratch.setRows(T)
-	return s.scratch
+	sc := s.scratch
+	sc.sess = sc.sess[:0]
+	sc.pos = sc.pos[:0]
+	sc.ids = sc.ids[:0]
+	return sc
 }
 
-// Append consumes tokens as one batched chunk — a single T x Dim forward
-// through every block with matrix-matrix projections, causal multi-row
-// attention against the KV cache and a bulk KV append — and returns the
-// next-token logits after the last appended token. It is bit-identical to
-// calling Step for each token in order, at any worker count.
+// add queues one row: token id at absolute position pos of s's sequence.
+func (sc *chunkScratch) add(s *Session, pos, id int) {
+	sc.sess = append(sc.sess, s) //aptq:ignore noalloc within the capacity ensureScratch sized
+	sc.pos = append(sc.pos, pos) //aptq:ignore noalloc within the capacity ensureScratch sized
+	sc.ids = append(sc.ids, id)  //aptq:ignore noalloc within the capacity ensureScratch sized
+}
+
+// admit checks that n more tokens fit the context and reserves their KV
+// rows in every block — the two ways a forward can fail, both before any
+// state is touched, so a refused session is bit-for-bit unchanged and an
+// ErrPoolExhausted call may be retried verbatim once pages are freed.
+func (s *Session) admit(n int) error {
+	if s.pos+n > s.m.Cfg.MaxSeq {
+		return fmt.Errorf("infer: sequence length %d exceeds MaxSeq %d", s.pos+n, s.m.Cfg.MaxSeq) //aptq:ignore noalloc cold error path: an out-of-budget request never reaches the forward steady state
+	}
+	return s.reserveKV(n)
+}
+
+// Append consumes tokens as one batched chunk — T consecutive rows of this
+// session through one block forward, with a bulk KV append — and returns
+// the next-token logits after the last appended token. It is bit-identical
+// to calling Step for each token in order, at any worker count.
 //
 // The returned matrix is owned by the session and overwritten by its next
-// Append/Prefill; clone it to retain it past that. On error the session
-// is unchanged: the length check and the KV reservation both run before
-// any state is touched, so a failed Append never half-advances the
+// Append/Step/Prefill; clone it to retain it past that. On error the
+// session is unchanged: the length check and the KV reservation both run
+// before any state is touched, so a failed Append never half-advances the
 // sequence — an ErrPoolExhausted Append may be retried verbatim once the
 // scheduler frees pages.
 //
@@ -124,36 +147,69 @@ func (s *Session) Append(tokens []int) (*tensor.Mat, error) {
 	if len(tokens) == 0 {
 		return nil, ErrEmptyPrompt
 	}
-	if s.pos+len(tokens) > s.m.Cfg.MaxSeq {
-		return nil, fmt.Errorf("infer: sequence length %d exceeds MaxSeq %d", s.pos+len(tokens), s.m.Cfg.MaxSeq) //aptq:ignore noalloc cold error path: an out-of-budget request never reaches the prefill steady state
-	}
-	if err := s.reserveKV(len(tokens)); err != nil {
+	if err := s.admit(len(tokens)); err != nil {
 		return nil, err
 	}
-	sc := s.ensureScratch(len(tokens)) //aptq:ignore noalloc prefill arena is allocated once and regrown only when a wider chunk arrives
-	pos0 := s.pos
-	s.m.EmbedChunkInto(sc.x, tokens, pos0)
-	for bi, b := range s.m.Blocks {
-		s.chunkBlock(b, s.caches[bi], sc, pos0)
+	sc := s.ensureScratch(len(tokens)) //aptq:ignore noalloc the arena is allocated once and regrown only when a wider forward arrives
+	for t, id := range tokens {
+		sc.add(s, s.pos+t, id)
 	}
-	s.pos += len(tokens)
-	s.m.Norm.ForwardInto(sc.normed, sc.last)
-	s.m.Head.ForwardInto(sc.logits, sc.normed)
-	return sc.logits, nil
+	sc.forward(len(tokens) - 1)
+	return s.logits, nil
 }
 
-// chunkBlock runs one decoder block over a T-row chunk whose first row
-// sits at sequence position pos0, with the same per-element operation
-// order as stepBlock, so the residual stream is bit-identical to the Step
-// loop.
-func (s *Session) chunkBlock(b *nn.Block, c *kvCache, sc *chunkScratch, pos0 int) {
-	b.AttnNorm.ForwardInto(sc.attnIn, sc.x)
-	s.chunkAttention(b.Attn, c, sc, pos0)
-	tensor.AddInPlace(sc.x, sc.proj) // x = x + attnOut
+// forward runs the queued rows through the model, appends each row's
+// key/value to its session's caches, advances every session by its rows,
+// and writes the next-token logits of rows [from, T) into their sessions'
+// logits buffers. The caller has admitted every row. A panic mid-forward
+// (a poisoned layer, an out-of-range token id) rewinds every session to
+// its pre-call position on the way out, so the rows can be re-run.
+//
+//aptq:noalloc
+func (sc *chunkScratch) forward(from int) {
+	T := len(sc.sess)
+	m := sc.sess[0].m
+	sc.setRows(T, from)
+	done := false
+	defer sc.rewindUnless(&done)
+	m.EmbedRowsInto(&sc.x, sc.ids, sc.pos)
+	for bi, b := range m.Blocks {
+		sc.chunkBlock(b, bi)
+	}
+	m.Norm.ForwardInto(&sc.normed, &sc.tail)
+	m.Head.ForwardInto(&sc.logits, &sc.normed)
+	for t := from; t < T; t++ {
+		copy(sc.sess[t].logits.Data, sc.logits.Row(t-from))
+	}
+	for _, s := range sc.sess {
+		s.pos++
+	}
+	done = true
+}
+
+// rewindUnless rolls every session of an unfinished forward back to the
+// position of its first queued row (rows of one session are queued in
+// ascending position, so the reverse walk ends on the smallest).
+func (sc *chunkScratch) rewindUnless(done *bool) {
+	if *done {
+		return
+	}
+	for t := len(sc.sess) - 1; t >= 0; t-- {
+		sc.sess[t].rewind(sc.pos[t])
+	}
+}
+
+// chunkBlock runs decoder block bi over the queued rows, with the same
+// per-element operation order as nn.Block.Forward (x + attnOut, then
+// h + mlpOut), so the residual stream is bit-identical to it.
+func (sc *chunkScratch) chunkBlock(b *nn.Block, bi int) {
+	b.AttnNorm.ForwardInto(&sc.attnIn, &sc.x)
+	sc.chunkAttention(b.Attn, bi)
+	tensor.AddInPlace(&sc.x, &sc.proj) // x = x + attnOut
 	// attnIn is free once attention ran; reuse it for the MLP norm output.
-	b.MLPNorm.ForwardInto(sc.attnIn, sc.x)
-	b.MLP.ForwardInto(sc.proj, sc.attnIn, sc.h1, sc.h2)
-	tensor.AddInPlace(sc.x, sc.proj) // x = x + mlpOut
+	b.MLPNorm.ForwardInto(&sc.attnIn, &sc.x)
+	b.MLP.ForwardInto(&sc.proj, &sc.attnIn, &sc.h1, &sc.h2)
+	tensor.AddInPlace(&sc.x, &sc.proj) // x = x + mlpOut
 }
 
 // attnRowGrain sizes the parallel chunks of the attention row fan-out so
@@ -170,49 +226,54 @@ func attnRowGrain(opsPerRow int) int {
 	return g
 }
 
-// chunkAttention computes causal attention for all T chunk rows against
-// the cache — bulk-appending the chunk's keys and values first — and
+// chunkAttention computes causal attention for all queued rows — appending
+// each row's key and value to its own session's block-bi cache first — and
 // writes WO's projection of the context into sc.proj. Row t attends to
-// cached positions [0, pos0+t]: the same horizon, score order, softmax
-// and value-accumulation order as stepAttention. Rows partition across
-// workers and each row owns its scores/probs scratch and its output rows,
-// so the fan-out is bit-deterministic at any worker count.
-func (s *Session) chunkAttention(attn *nn.Attention, c *kvCache, sc *chunkScratch, pos0 int) {
-	attn.WQ.ForwardInto(sc.q, sc.attnIn)
-	attn.WK.ForwardInto(sc.k, sc.attnIn)
-	attn.WV.ForwardInto(sc.v, sc.attnIn)
+// positions [0, pos[t]] of its own sequence. Rows partition across workers
+// and each row owns its scores/probs scratch and its output row, so the
+// fan-out is bit-deterministic at any worker count.
+func (sc *chunkScratch) chunkAttention(attn *nn.Attention, bi int) {
+	attn.WQ.ForwardInto(&sc.q, &sc.attnIn)
+	attn.WK.ForwardInto(&sc.k, &sc.attnIn)
+	attn.WV.ForwardInto(&sc.v, &sc.attnIn)
 	if attn.Rope != nil {
-		attn.Rope.ApplyFrom(sc.q, pos0)
-		attn.Rope.ApplyFrom(sc.k, pos0)
+		attn.Rope.ApplyRows(&sc.q, sc.pos)
+		attn.Rope.ApplyRows(&sc.k, sc.pos)
 	}
-	if s.kvQuant != nil {
-		// Per-token grids: each row quantizes against its own scale, so the
-		// batched form matches the per-step form row for row.
-		s.kvQuant.QuantizeInPlace(sc.k)
-		s.kvQuant.QuantizeInPlace(sc.v)
+	horizon := 0
+	for t, s := range sc.sess {
+		krow, vrow := rowsView(&sc.k, t, t+1), rowsView(&sc.v, t, t+1)
+		if s.kvQuant != nil {
+			// Per-token grids: each row quantizes against its own scale.
+			s.kvQuant.QuantizeInPlace(&krow)
+			s.kvQuant.QuantizeInPlace(&vrow)
+		}
+		s.caches[bi].appendRow(krow.Data, vrow.Data)
+		horizon += sc.pos[t] + 1
 	}
-	c.appendRows(sc.k, sc.v)
 
-	T := sc.q.Rows
-	if parallel.Workers() == 1 {
-		attnRowRange(attn, c, sc, pos0, 0, T)
+	T := len(sc.sess)
+	if T == 1 || parallel.Workers() == 1 {
+		sc.attnRowRange(attn, bi, 0, T)
 	} else {
 		// Average attention cost per row: one dot and one axpy over every
-		// cached position per head, about 2*dim*(pos0+T/2) multiply-adds.
-		grain := attnRowGrain(2 * attn.Dim * (pos0 + (T+1)/2))
+		// attended position per head, about 2*dim*horizon multiply-adds.
+		grain := attnRowGrain(2 * attn.Dim * (horizon / T))
 		parallel.For(T, grain, func(lo, hi int) {
-			attnRowRange(attn, c, sc, pos0, lo, hi)
+			sc.attnRowRange(attn, bi, lo, hi)
 		})
 	}
-	attn.WO.ForwardInto(sc.proj, sc.ctx)
+	attn.WO.ForwardInto(&sc.proj, &sc.ctx)
 }
 
-// attnRowRange computes the attention context of chunk rows [lo, hi).
-func attnRowRange(attn *nn.Attention, c *kvCache, sc *chunkScratch, pos0, lo, hi int) {
+// attnRowRange computes the attention context of rows [lo, hi), each
+// against its own session's block-bi cache.
+func (sc *chunkScratch) attnRowRange(attn *nn.Attention, bi, lo, hi int) {
 	heads, hd := attn.Heads, attn.HeadDim
 	invSqrt := 1 / math.Sqrt(float64(hd))
 	for t := lo; t < hi; t++ {
-		n := pos0 + t + 1 // causal horizon of row t
+		c := sc.sess[t].caches[bi]
+		n := sc.pos[t] + 1 // causal horizon of row t
 		scores := sc.scores.Row(t)[:n]
 		probs := sc.probs.Row(t)[:n]
 		ctxRow := sc.ctx.Row(t)

@@ -153,17 +153,17 @@ func (m *Model) Forward(ids []int) *tensor.Mat {
 	return m.Head.Forward(m.Norm.Forward(x))
 }
 
-// EmbedChunkInto writes the embeddings of ids into dst (len(ids) x Dim),
-// adding the learned positional rows for absolute positions pos0+t on
-// architectures that have them (ArchGPT; RoPE models encode position
-// inside attention). This is the model-level entry of the chunked prefill
-// path: one gather per chunk instead of one allocation per token, and
-// bit-identical to the per-token embed-and-add of the Step loop.
-func (m *Model) EmbedChunkInto(dst *tensor.Mat, ids []int, pos0 int) {
+// EmbedRowsInto writes the embeddings of ids into dst (len(ids) x Dim),
+// adding the learned positional row of absolute position pos[t] to row t
+// on architectures that have them (ArchGPT; RoPE models encode position
+// inside attention). This is the model-level entry of the KV-cached block
+// forward, whose rows may be consecutive positions of one sequence or one
+// position each of several; bit-identical to Forward's embed-and-add.
+func (m *Model) EmbedRowsInto(dst *tensor.Mat, ids, pos []int) {
 	m.Embed.ForwardInto(dst, ids)
 	if m.PosEmbed != nil {
-		for t := range ids {
-			tensor.Axpy(1, m.PosEmbed.P.W.Row(pos0+t), dst.Row(t))
+		for t, p := range pos {
+			tensor.Axpy(1, m.PosEmbed.P.W.Row(p), dst.Row(t))
 		}
 	}
 }

@@ -101,26 +101,26 @@ func TestFeedForwardForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
-// TestRoPEApplyFromMatchesApplyAt: rotating a chunk whose first row sits
-// at pos0 must equal rotating each row at its own absolute position, and
-// ApplyFrom at 0 must equal the batch Apply.
-func TestRoPEApplyFromMatchesApplyAt(t *testing.T) {
+// TestRoPEApplyRowsMatchesApplyAt: rotating rows at arbitrary positions —
+// consecutive (a prompt chunk) or scattered (a decode batch) — must equal
+// rotating each row at its own absolute position, and positions 0..n-1
+// must equal the batch Apply.
+func TestRoPEApplyRowsMatchesApplyAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	const headDim, dim = 8, 16
 	r := NewRoPE(headDim, 4, 10000) // short table forces growth past maxSeq
-	for _, pos0 := range []int{0, 1, 7, 33} {
-		chunk := tensor.Randn(rng, 5, dim, 1)
-		want := chunk.Clone()
-		for t0 := 0; t0 < want.Rows; t0++ {
-			row := want.SliceRows(t0, t0+1)
-			r.ApplyAt(row, pos0+t0)
+	for _, pos := range [][]int{{0, 1, 2, 3, 4}, {7, 8, 9, 10, 11}, {33, 0, 12, 12, 5}} {
+		rows := tensor.Randn(rng, len(pos), dim, 1)
+		want := rows.Clone()
+		for t0, p := range pos {
+			r.ApplyAt(want.SliceRows(t0, t0+1), p)
 		}
-		r.ApplyFrom(chunk, pos0)
-		assertMatsIdentical(t, "applyfrom", chunk, want)
+		r.ApplyRows(rows, pos)
+		assertMatsIdentical(t, "applyrows", rows, want)
 	}
 	batch := tensor.Randn(rng, 6, dim, 1)
 	want := batch.Clone()
 	r.Apply(want)
-	r.ApplyFrom(batch, 0)
-	assertMatsIdentical(t, "applyfrom@0 vs apply", batch, want)
+	r.ApplyRows(batch, []int{0, 1, 2, 3, 4, 5})
+	assertMatsIdentical(t, "applyrows@0.. vs apply", batch, want)
 }

@@ -108,21 +108,30 @@ func (r *RoPE) ApplyAt(x *tensor.Mat, pos int) {
 	}
 }
 
-// ApplyFrom rotates row t of x in place by the rotation of sequence
-// position pos0+t — the chunked-prefill entry point: a prompt chunk whose
-// first token sits at position pos0 rotates every row with its own
-// absolute position in one call, bit-identically to ApplyAt row by row.
-// Apply is ApplyFrom at position 0.
-func (r *RoPE) ApplyFrom(x *tensor.Mat, pos0 int) {
+// ApplyRows rotates row t of x in place by the rotation of sequence
+// position pos[t] — the entry point of the KV-cached block forward, whose
+// rows are consecutive positions of one sequence (a prompt chunk) or one
+// position each of several sequences (a decode batch). Bit-identical to
+// ApplyAt row by row; Apply is ApplyRows at positions 0..n-1.
+func (r *RoPE) ApplyRows(x *tensor.Mat, pos []int) {
 	if x.Cols%r.HeadDim != 0 {
 		panic("nn: RoPE input dim not a multiple of head dim")
 	}
-	if pos0 < 0 {
-		panic("nn: RoPE position must be non-negative")
+	if len(pos) != x.Rows {
+		panic("nn: RoPE needs one position per row")
 	}
-	cos, sin := r.tables(pos0 + x.Rows) //aptq:ignore noalloc trig tables are a lazy once-per-length cache; steady-state prefill hits cached rows
-	for t := 0; t < x.Rows; t++ {
-		r.rotateRow(x.Row(t), cos[pos0+t], sin[pos0+t], 1)
+	n := 0
+	for _, p := range pos {
+		if p < 0 {
+			panic("nn: RoPE position must be non-negative")
+		}
+		if p >= n {
+			n = p + 1
+		}
+	}
+	cos, sin := r.tables(n) //aptq:ignore noalloc trig tables are a lazy once-per-length cache; steady-state forwards hit cached rows
+	for t, p := range pos {
+		r.rotateRow(x.Row(t), cos[p], sin[p], 1)
 	}
 }
 

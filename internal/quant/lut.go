@@ -61,8 +61,8 @@ func (p *PackedMatrix) EnsureLUT() {
 }
 
 // LUTBytes reports the resident size of the dequantization tables (0
-// until EnsureLUT runs). The tables are an acceleration structure of the
-// prefill path, not part of the serialized packed form, so SizeBytes —
+// until EnsureLUT runs). The tables are an acceleration structure of every
+// packed product, not part of the serialized packed form, so SizeBytes —
 // the footprint the compression-ratio comparisons use — excludes them.
 func (p *PackedMatrix) LUTBytes() int64 {
 	if p.lut == nil {

@@ -170,9 +170,8 @@ func (p *PackedMatrix) DecodeRowInto(dst []float64, r int) {
 
 // DecodeRowsInto dequantizes weight rows [lo, lo+dst.Rows) into dst
 // (dst.Cols == Cols), building the dequantization tables on first use —
-// the multi-column decode entry of the chunked prefill path (weight rows
-// are output columns of x·Wᵀ). The decoded values are bit-identical to
-// DecodeRowInto row by row.
+// the multi-column decode entry (weight rows are output columns of x·Wᵀ).
+// The decoded values are bit-identical to DecodeRowInto row by row.
 func (p *PackedMatrix) DecodeRowsInto(dst *tensor.Mat, lo int) {
 	if dst.Cols != p.Cols || lo < 0 || lo+dst.Rows > p.Rows {
 		panic(fmt.Sprintf("quant: DecodeRowsInto rows [%d,%d) of %dx%d into %dx%d",
@@ -229,14 +228,14 @@ func (p *PackedMatrix) getDecodeBuf() *[]float64 {
 // into a pooled per-worker scratch buffer. Every shape decodes through
 // the LUT tables (EnsureLUT, built lazily on the first product) — 4-bit
 // byte-aligned rows through the specialized two-codes-per-byte decoder —
-// so each code costs a table load instead of the affine arithmetic;
-// previously only matrix-matrix prefill products (x.Rows > 1) took the
-// tables, leaving the single-row matvec of per-token decode, the hot loop
-// of a serving deployment, on the slow path. Weight rows (output columns)
-// partition across workers; each output element accumulates its k-terms
-// in ascending order from a zero accumulator — the exact inner-loop order
-// of tensor.MatMulNTInto — so the result is bit-identical to
-// MatMulNT(x, W.Dequantize()) at any worker count, with or without LUT.
+// so each code costs a table load instead of the affine arithmetic, and a
+// multi-row x (a prompt chunk, or one row from each session of a decode
+// tick) pays each weight row's decode once for all its rows. Weight rows
+// (output columns) partition across workers; each output element
+// accumulates its k-terms in ascending order from a zero accumulator — the
+// exact inner-loop order of tensor.MatMulNTInto — so the result is
+// bit-identical to MatMulNT(x, W.Dequantize()) at any worker count, with
+// or without LUT.
 func (p *PackedMatrix) MatMulNTInto(out, x *tensor.Mat) {
 	if x.Cols != p.Cols || out.Rows != x.Rows || out.Cols != p.Rows {
 		panic(fmt.Sprintf("quant: packed MatMulNT shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",

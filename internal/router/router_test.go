@@ -279,6 +279,16 @@ func TestRouterMatchesDirectAndSequential(t *testing.T) {
 	if num(st, "router_errors") != 0 {
 		t.Fatalf("router_errors = %v, want 0", num(st, "router_errors"))
 	}
+	// Fleet counters are the sums of the replicas' own: ticks and
+	// decode_rows (their ratio is the mean decode batch) included.
+	var ticks, decodeRows int64
+	for _, srv := range f.servers {
+		ss := srv.Scheduler().Stats()
+		ticks, decodeRows = ticks+ss.Ticks, decodeRows+ss.DecodeRows
+	}
+	if ticks == 0 || decodeRows == 0 || num(st, "ticks") != float64(ticks) || num(st, "decode_rows") != float64(decodeRows) {
+		t.Fatalf("fleet ticks/decode_rows = %v/%v, want the replicas' sums %d/%d (non-zero)", num(st, "ticks"), num(st, "decode_rows"), ticks, decodeRows)
+	}
 }
 
 // TestRouterKillReplicaMidLoad is the headline fault-tolerance property:

@@ -11,7 +11,7 @@ import (
 
 // TestAdmissionChunkBoundsPerTickWork is the white-box half of the
 // chunked-admission contract: a slot prefilling a long prompt consumes at
-// most PrefillChunk tokens per advance call, so a single tick — the unit
+// most PrefillChunk tokens per tick, so a single tick — the unit
 // co-scheduled slots wait on — never carries more than one chunk of
 // prompt work, and the prompt takes exactly ceil(len/chunk) ticks to
 // admit.
@@ -27,7 +27,7 @@ func TestAdmissionChunkBoundsPerTickWork(t *testing.T) {
 	ticks := 0
 	for !sl.prefilled {
 		before := sl.sess.Pos()
-		sl.advance(-1)
+		tickAlone(sl)
 		if sl.done {
 			t.Fatalf("prefill finished with %v after %d ticks", sl.err, ticks)
 		}
@@ -47,7 +47,7 @@ func TestAdmissionChunkBoundsPerTickWork(t *testing.T) {
 	}
 	// Decoding proceeds normally after the staged admission.
 	for !sl.done {
-		sl.advance(-1)
+		tickAlone(sl)
 	}
 	if sl.reason != FinishLength || len(sl.tokens) != 2 {
 		t.Fatalf("post-admission decode finished (%s, %d tokens)", sl.reason, len(sl.tokens))
@@ -56,7 +56,7 @@ func TestAdmissionChunkBoundsPerTickWork(t *testing.T) {
 
 // TestSlotCancelStopsTicks is the deterministic core of the cancellation
 // contract: a slot whose request context is cancelled finishes with
-// FinishCancelled on the very next advance call and performs no further
+// FinishCancelled on the very next tick and performs no further
 // decode work — token count frozen at the moment of cancellation, session
 // position untouched afterwards.
 func TestSlotCancelStopsTicks(t *testing.T) {
@@ -66,25 +66,25 @@ func TestSlotCancelStopsTicks(t *testing.T) {
 	sl := newSlot(infer.NewSession(m.View()), m.Cfg.MaxSeq, 4, nil)
 	sl.start(Request{ID: "c", Prompt: []int{3, 1}, MaxTokens: 20, Seed: 2, Ctx: ctx}, nil, time.Now(), nil)
 	for len(sl.tokens) < 3 {
-		sl.advance(-1)
+		tickAlone(sl)
 		if sl.done {
 			t.Fatalf("finished (%s) before cancellation with %d tokens", sl.reason, len(sl.tokens))
 		}
 	}
 	cancel()
 	pos := sl.sess.Pos()
-	sl.advance(-1)
+	tickAlone(sl)
 	if !sl.done || sl.reason != FinishCancelled || sl.err != nil {
-		t.Fatalf("post-cancel advance: done=%v reason=%s err=%v", sl.done, sl.reason, sl.err)
+		t.Fatalf("post-cancel tick: done=%v reason=%s err=%v", sl.done, sl.reason, sl.err)
 	}
 	if len(sl.tokens) != 3 {
 		t.Fatalf("cancelled slot holds %d tokens, want the 3 generated before cancellation", len(sl.tokens))
 	}
 	if sl.sess.Pos() != pos {
-		t.Fatalf("cancelled advance moved the session %d -> %d: it must consume no decode tick", pos, sl.sess.Pos())
+		t.Fatalf("cancelled tick moved the session %d -> %d: it must consume no decode tick", pos, sl.sess.Pos())
 	}
-	// Further advances are no-ops on a finished slot.
-	sl.advance(-1)
+	// Further ticks are no-ops on a finished slot.
+	tickAlone(sl)
 	if len(sl.tokens) != 3 || sl.sess.Pos() != pos {
 		t.Fatalf("finished slot kept decoding: %d tokens, pos %d", len(sl.tokens), sl.sess.Pos())
 	}
@@ -98,7 +98,7 @@ func TestSlotDeadlineReason(t *testing.T) {
 	defer cancel()
 	sl := newSlot(infer.NewSession(m.View()), m.Cfg.MaxSeq, 4, nil)
 	sl.start(Request{ID: "d", Prompt: []int{1}, MaxTokens: 4, Ctx: expired}, nil, time.Now(), nil)
-	sl.advance(-1)
+	tickAlone(sl)
 	if !sl.done || sl.reason != FinishDeadline {
 		t.Fatalf("expired-deadline slot: done=%v reason=%s, want %s", sl.done, sl.reason, FinishDeadline)
 	}

@@ -285,7 +285,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"completed":        st.Completed,
 		"prompt_tokens":    st.PromptTokens,
 		"generated_tokens": st.GeneratedTokens,
-		"kv_cache_bytes":   st.KVCacheBytes,
+		// decode_rows / ticks: mean decode rows advanced per tick.
+		"ticks":          st.Ticks,
+		"decode_rows":    st.DecodeRows,
+		"kv_cache_bytes": st.KVCacheBytes,
 		// Paged-KV accounting: unique bytes count every in-use page once
 		// however many slots and cache entries share it; logical bytes are
 		// what the same references would cost without sharing (the memcpy

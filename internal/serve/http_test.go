@@ -180,6 +180,12 @@ func TestHealthAndStats(t *testing.T) {
 	if v, ok := stats["drain_timeouts"]; !ok || v != 0 {
 		t.Fatalf("drain_timeouts = %v, want present and 0: %v", v, stats)
 	}
+	// Batch size per step: a 1-token prompt and 3 outputs are one prefill
+	// tick, two ticks that each feed a token back as a decode row, and the
+	// tick that emits the last token.
+	if stats["ticks"] != 4 || stats["decode_rows"] != 2 {
+		t.Fatalf("ticks = %v, decode_rows = %v, want 4 and 2", stats["ticks"], stats["decode_rows"])
+	}
 }
 
 // TestGenerateStreaming: the SSE variant emits one event per token and a

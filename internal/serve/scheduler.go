@@ -3,11 +3,13 @@
 // owns a fixed pool of decoding slots — one infer.Session per slot, each on
 // its own model.Model view of one shared (float or packed) weight copy —
 // and an admission queue of Requests. Every tick advances all live slots by
-// one token with a parallel fan-out; the moment a sequence finishes (EOS,
-// stop token, max-tokens, or the model's context limit) its slot is
-// recycled and the next queued request is prefilled, so throughput tracks
-// the number of live sequences instead of the slowest member of a lockstep
-// batch (infer.Batch's regime).
+// one token: each slot plans its step (sample, emit, finish checks), the
+// decoding slots' tokens ride one shared block forward per worker — a
+// packed weight row is decoded once per forward, not once per slot — beside
+// the prefilling slots' prompt chunks, and each slot commits its result.
+// The moment a sequence finishes (EOS, stop token, max-tokens, or the
+// context limit) its slot is recycled and the next queued request is
+// prefilled, so throughput tracks the number of live sequences.
 //
 // Determinism contract: a request's output depends only on the model and
 // the request itself (prompt, seed, temperature, stop set) — never on the
@@ -218,8 +220,7 @@ type Options struct {
 	// its request re-queued carrying the tokens generated so far and
 	// restored later by re-prefilling prompt+generated, which by the
 	// determinism contract yields output bit-identical to an uninterrupted
-	// run. 0 disables the budget (pages allocate on demand, the pre-budget
-	// behavior).
+	// run. 0 disables the budget (pages allocate on demand).
 	KVBudgetBytes int64
 }
 
@@ -284,6 +285,11 @@ type Stats struct {
 	// one count per queued request per tick with a free slot, so it grows
 	// while memory-aware admission is actively holding work back.
 	AdmissionDeferred int64
+	// Ticks counts scheduler ticks that ran model work — prefill-only ticks
+	// included — and DecodeRows the decode rows those ticks' forwards
+	// advanced (a row left out on KV starvation is not one): DecodeRows /
+	// Ticks is the mean number of decode rows per tick.
+	Ticks, DecodeRows int64
 	// Panics counts requests whose per-slot tick work panicked; each was
 	// isolated to a FinishError for that request (the slot recovered and
 	// kept serving). The HTTP layer adds its own handler-recover count on
@@ -365,8 +371,8 @@ type pending struct {
 }
 
 // slot is one decoding lane. All fields are owned by the scheduler loop
-// goroutine (or, inside a tick, by exactly one parallel worker); cache is
-// internally synchronized.
+// goroutine (or, inside a tick's forward region, by exactly one work item);
+// cache is internally synchronized.
 type slot struct {
 	sess     *infer.Session
 	maxSeq   int
@@ -377,12 +383,10 @@ type slot struct {
 
 	active       bool
 	prefilled    bool
-	promptPos    int // effective-prompt tokens consumed so far
 	published    int // prompt pages offered to the prefix cache so far
 	req          Request
 	ticket       *Ticket
 	rng          *rand.Rand
-	logits       []float64
 	tokens       []int
 	done         bool
 	reason       FinishReason
@@ -391,9 +395,9 @@ type slot struct {
 	resume       *resumeState // non-nil while restoring a preempted request
 	effPrompt    []int        // req.Prompt plus resume tokens: what prefill consumes
 	starved      bool         // last tick hit ErrPoolExhausted; retrying
-	retryPending bool         // a sampled token awaits its Step retry
-	retryTok     int
-	panicked     bool // this tick's work panicked (isolated to FinishError)
+	tok          int          // the sampled token this tick's decode row feeds back
+	retryPending bool         // tok was emitted but its decode row starved; re-run it, don't re-sample
+	panicked     bool         // this tick's work panicked (isolated to FinishError)
 	ttft         time.Duration
 	ttftPending  bool // a fresh TTFT sample awaits collection
 	lastEmit     time.Time
@@ -407,13 +411,13 @@ func newSlot(sess *infer.Session, maxSeq, chunk int, cache *prefixCache) *slot {
 }
 
 // start admits a request into an idle slot. The session is recycled with
-// Reset — its page references return to the shared pool and the
-// decode/prefill scratch arenas are kept — which decodes bit-identically
-// to a fresh session. With prefix caching enabled, the longest run of
-// cached pages prefixing the prompt is adopted by reference into the
-// recycled KV cache (a refcount bump per page, no copy) and prefill
-// resumes after it; at least the final prompt token is always prefilled
-// for real, because its logits must be computed.
+// Reset — its page references return to the shared pool and the forward
+// arena is kept — which decodes bit-identically to a fresh session. With
+// prefix caching enabled, the longest run of cached pages prefixing the
+// prompt is adopted by reference into the recycled KV cache (a refcount
+// bump per page, no copy) and prefill resumes after it; at least the final
+// prompt token is always prefilled for real, because its logits must be
+// computed.
 //
 // A non-nil resume restores a preempted request: prefill consumes
 // prompt+generated (deterministic prefill reproduces the evicted KV rows
@@ -425,7 +429,6 @@ func (sl *slot) start(req Request, ticket *Ticket, submitted time.Time, resume *
 	sl.sess.Reset()
 	sl.active = true
 	sl.prefilled = false
-	sl.promptPos = 0
 	sl.published = 0
 	sl.resume = resume
 	sl.effPrompt = req.Prompt
@@ -453,8 +456,7 @@ func (sl *slot) start(req Request, ticket *Ticket, submitted time.Time, resume *
 		for _, sp := range spans {
 			sp.Release()
 		}
-		sl.promptPos = sl.sess.Pos()
-		sl.published = sl.promptPos / sl.pageRows
+		sl.published = sl.sess.Pos() / sl.pageRows
 	}
 	sl.req = req
 	sl.ticket = ticket
@@ -465,7 +467,6 @@ func (sl *slot) start(req Request, ticket *Ticket, submitted time.Time, resume *
 		sl.rng = rand.New(rand.NewSource(req.Seed))
 		sl.tokens = nil
 	}
-	sl.logits = nil
 	sl.done = false
 	sl.reason = ""
 	sl.err = nil
@@ -476,8 +477,8 @@ func (sl *slot) start(req Request, ticket *Ticket, submitted time.Time, resume *
 	sl.itl = 0
 	sl.itlPending = false
 	sl.starved = false
+	sl.tok = 0
 	sl.retryPending = false
-	sl.retryTok = 0
 	sl.panicked = false
 }
 
@@ -513,145 +514,267 @@ func (sl *slot) result() Result {
 	return Result{ID: sl.req.ID, Tokens: sl.tokens, FinishReason: sl.reason, Err: sl.err}
 }
 
-// advance runs one scheduler tick for this slot: at most one prompt chunk
-// per tick until the prompt is consumed, then one sample (+feed) per tick.
-// Chunked admission bounds the work a long prompt adds to any single tick
-// — co-scheduled decoding slots wait for one chunk of block forwards, not
-// a whole prompt — while chunked prefill's bit-identity to the token loop
-// keeps the output independent of the chunk size. This single function is
-// the whole per-request decode semantics: Sequential loops it to
-// completion on one fresh session, and the scheduler fans it out across
-// live slots, so scheduled and sequential decoding are bit-identical by
-// construction.
-//
-// The latency stamps it takes (wallclock) never reach decoded output, and
-// its steady-state decode step is a zero-alloc root: the tick is the
-// serving hot path.
+// work is what a slot's plan step asks of the tick's forward region.
+type work int
+
+const (
+	workNone    work = iota // nothing to run: the request finished or was cancelled
+	workPrefill             // the next prompt chunk: one Session.Append
+	workDecode              // one row, sl.tok, of a shared decode forward
+)
+
+// plan is the first of the three steps of a slot's tick — plan, run the
+// planned work, commit — which are the whole per-request decode semantics.
+// A dead context frees the slot here, at the tick boundary (tokens
+// generated so far are delivered). Otherwise plan asks for the next prompt
+// chunk — at most one per tick, so co-scheduled slots wait for one chunk
+// of block forwards, not a whole prompt — or samples and emits the next
+// token, runs the finish checks, and asks for that token's decode row.
 //
 //aptq:noalloc
 //aptq:wallclock
-func (sl *slot) advance(eos int) {
+func (sl *slot) plan(eos int) work {
 	if sl.done {
-		return
+		return workNone
 	}
-	// Cancellation check, once per tick: a dead context frees the slot at
-	// the next tick boundary, whether the request is mid-prefill or
-	// mid-decode. Tokens generated so far are delivered with the result.
 	if r := ctxFinishReason(sl.req.Ctx); r != "" {
 		sl.finish(r, nil)
-		return
+		return workNone
 	}
-	// A token sampled (and already emitted) whose feed-back Step starved on
-	// the KV budget last tick: retry just the Step — the RNG already
-	// advanced, so re-sampling would corrupt the stream. ErrPoolExhausted
-	// leaves the session unchanged, so the retry is exact.
 	if sl.retryPending {
-		logits, err := sl.sess.Step(sl.retryTok)
-		if err != nil {
-			if errors.Is(err, infer.ErrPoolExhausted) { //aptq:ignore noalloc errors.Is walks a static chain; cold pressure path, no allocation on the decode steady state
-				sl.starved = true
-				return
-			}
-			sl.finish(FinishError, err)
-			return
-		}
-		sl.retryPending = false
-		sl.starved = false
-		sl.logits = logits.Row(0)
-		return
+		// sl.tok was sampled and emitted on an earlier tick but its row
+		// starved on the KV budget: re-run just the row — the RNG already
+		// advanced, so re-sampling would corrupt the stream.
+		return workDecode
 	}
 	if !sl.prefilled {
 		if len(sl.req.Prompt) == 0 {
 			sl.finish(FinishError, infer.ErrEmptyPrompt)
-			return
+			return workNone
 		}
-		// Prefill consumes the effective prompt: the request's prompt, plus
-		// — when restoring a preempted request — the tokens generated before
-		// preemption, whose KV rows deterministic prefill reproduces
-		// bit-for-bit.
-		n := sl.chunk
-		if rem := len(sl.effPrompt) - sl.promptPos; n > rem {
-			n = rem
-		}
-		lo := sl.promptPos
-		logits, err := sl.sess.Append(sl.effPrompt[lo : lo+n])
-		if err != nil {
-			if errors.Is(err, infer.ErrPoolExhausted) { //aptq:ignore noalloc errors.Is walks a static chain; cold pressure path, no allocation on the decode steady state
-				sl.starved = true // same chunk retries next tick; scheduler frees pages meanwhile
-				return
-			}
-			sl.finish(FinishError, err)
-			return
-		}
-		sl.starved = false
-		sl.promptPos += n
-		// Publish every newly completed prompt page into the cache so the
-		// next request sharing the prefix adopts it by reference. Publishing
-		// is decoupled from the admission chunk size: the published cursor
-		// walks full pages regardless of how prefill ticks chop the prompt.
-		// SharePages bumps refcounts on the pages already resident in this
-		// slot — no bytes are copied; insert de-duplicates and evicts LRU
-		// entries past the byte budget. Only pages fully inside the original
-		// prompt are published: generated tokens are per-request, never a
-		// shareable prefix.
-		if sl.cache != nil {
-			for (sl.published+1)*sl.pageRows <= sl.promptPos && (sl.published+1)*sl.pageRows <= len(sl.req.Prompt) {
-				hi := (sl.published + 1) * sl.pageRows
-				if !sl.cache.contains(sl.req.Prompt[:hi]) {
-					sl.cache.insert(sl.req.Prompt[:hi], sl.sess.SharePages(sl.published*sl.pageRows, hi)) //aptq:ignore noalloc prefix-cache publication runs per prompt page during prefill, never on the decode steady state
-				}
-				sl.published++
-			}
-		}
-		if sl.promptPos < len(sl.effPrompt) {
-			return // rest of the prompt admits on later ticks
-		}
-		sl.prefilled = true
-		if sl.resume == nil {
-			// First prefill of this request: stamp TTFT. A restore records no
-			// second sample — the client saw its first token long ago.
-			sl.ttft = time.Since(sl.submitted)
-			sl.ttftPending = true
-		}
-		sl.lastEmit = time.Now() // first token's inter-token gap starts here
-		sl.logits = logits.Row(0)
-		if sl.req.MaxTokens <= 0 {
-			sl.finish(FinishLength, nil)
-		}
-		return
+		return workPrefill
 	}
-	tok := sl.sampler.Sample(sl.rng, sl.logits, sl.req.Temperature)
+	tok := sl.sampler.Sample(sl.rng, sl.sess.Logits().Row(0), sl.req.Temperature)
 	if eos >= 0 && tok == eos {
 		sl.finish(FinishEOS, nil)
-		return
+		return workNone
 	}
 	for _, st := range sl.req.Stop {
 		if tok == st {
 			sl.finish(FinishStop, nil)
-			return
+			return workNone
 		}
 	}
 	sl.emit(tok)
 	if len(sl.tokens) >= sl.req.MaxTokens {
 		sl.finish(FinishLength, nil)
-		return
+		return workNone
 	}
 	if sl.sess.Pos() >= sl.maxSeq {
 		sl.finish(FinishContext, nil)
+		return workNone
+	}
+	sl.tok = tok
+	return workDecode
+}
+
+// prefill runs a planned prompt chunk of the effective prompt: the
+// request's prompt plus, when restoring a preempted request, the tokens
+// generated before preemption, whose KV rows deterministic prefill
+// reproduces bit-for-bit.
+//
+//aptq:noalloc
+func (sl *slot) prefill() error {
+	lo := sl.sess.Pos() // effective-prompt tokens consumed so far
+	_, err := sl.sess.Append(sl.effPrompt[lo:min(lo+sl.chunk, len(sl.effPrompt))])
+	return err
+}
+
+// commit folds the outcome of the planned work into the request. Work that
+// starved on the KV budget (ErrPoolExhausted) left its session unchanged:
+// the slot is marked starved and retries the same work next tick, after
+// the scheduler has freed pages. Any other error fails the request.
+//
+//aptq:noalloc
+//aptq:wallclock
+func (sl *slot) commit(w work, err error) {
+	if w == workNone || sl.done {
 		return
 	}
-	logits, err := sl.sess.Step(tok)
 	if err != nil {
 		if errors.Is(err, infer.ErrPoolExhausted) { //aptq:ignore noalloc errors.Is walks a static chain; cold pressure path, no allocation on the decode steady state
 			sl.starved = true
-			sl.retryPending = true
-			sl.retryTok = tok
-			return
+			sl.retryPending = w == workDecode
+		} else if rp, ok := err.(*infer.RowPanic); ok {
+			sl.fail(rp.Value) //aptq:ignore noalloc formats an error only when a request panics
+		} else {
+			sl.finish(FinishError, err)
 		}
-		sl.finish(FinishError, err)
 		return
 	}
-	sl.logits = logits.Row(0)
+	sl.starved = false
+	sl.retryPending = false
+	if w == workDecode {
+		return
+	}
+	consumed := sl.sess.Pos()
+	// Publish every newly completed prompt page into the cache so the next
+	// request sharing the prefix adopts it by reference. Publishing is
+	// decoupled from the admission chunk size: the published cursor walks
+	// full pages regardless of how prefill ticks chop the prompt.
+	// SharePages bumps refcounts on the pages already resident in this slot
+	// — no bytes are copied; insert de-duplicates and evicts LRU entries
+	// past the byte budget. Only pages fully inside the original prompt are
+	// published: generated tokens are per-request, never a shareable prefix.
+	if sl.cache != nil {
+		for (sl.published+1)*sl.pageRows <= min(consumed, len(sl.req.Prompt)) {
+			hi := (sl.published + 1) * sl.pageRows
+			if !sl.cache.contains(sl.req.Prompt[:hi]) {
+				sl.cache.insert(sl.req.Prompt[:hi], sl.sess.SharePages(sl.published*sl.pageRows, hi)) //aptq:ignore noalloc prefix-cache publication runs per prompt page during prefill, never on the decode steady state
+			}
+			sl.published++
+		}
+	}
+	if consumed < len(sl.effPrompt) {
+		return // rest of the prompt admits on later ticks
+	}
+	sl.prefilled = true
+	if sl.resume == nil {
+		// First prefill of this request: stamp TTFT. A restore records no
+		// second sample — the client saw its first token long ago.
+		sl.ttft = time.Since(sl.submitted)
+		sl.ttftPending = true
+	}
+	sl.lastEmit = time.Now() // first token's inter-token gap starts here
+	if sl.req.MaxTokens <= 0 {
+		sl.finish(FinishLength, nil)
+	}
+}
+
+// isolate is the deferred recover barrier around one slot's share of a
+// tick: a panic there fails that request alone — the slot delivers the
+// error and keeps serving (its session is Reset on the next admission, and
+// immediately under a budget) — instead of killing the decode loop and
+// with it every request on the replica.
+func (sl *slot) isolate() {
+	if r := recover(); r != nil {
+		sl.fail(r)
+	}
+}
+
+func (sl *slot) fail(recovered any) {
+	sl.finish(FinishError, fmt.Errorf("serve: request panicked: %v", recovered))
+	sl.panicked = true
+}
+
+// tick runs one scheduler tick: every live slot plans, the planned work
+// runs in one parallel region, every slot commits. The region's items are
+// the prefilling slots' prompt chunks — one item each: a chunk's rows share
+// one KV cache — and the decode rows' infer.RowGroups groups, each one
+// shared forward; sharing the region keeps a tick from serialising "all
+// prefill, then all decode". A decode row's result does not depend on the
+// rows it shares a forward with, so a tick over one slot (Sequential) and
+// over many are bit-identical per request by construction.
+type tick struct {
+	// panicHook / forwardPanicHook (tests only, set before any Submit) panic
+	// in the plan step of matching requests / make their decode rows panic
+	// inside the shared forward.
+	panicHook, forwardPanicHook func(Request) bool
+
+	prefills    []*slot // slots running a prompt chunk this tick
+	prefillErrs []error
+	// rows are the slots with a decode row this tick; sess, toks and errs
+	// are their sessions, tokens and per-row results, index-aligned.
+	rows   []*slot
+	sess   []*infer.Session
+	toks   []int
+	errs   []error
+	groups int // decode groups this tick: infer.RowGroups(len(rows))
+}
+
+func newTick(slots int) tick {
+	return tick{
+		prefills:    make([]*slot, 0, slots),
+		prefillErrs: make([]error, slots),
+		rows:        make([]*slot, 0, slots),
+		sess:        make([]*infer.Session, slots),
+		toks:        make([]int, slots),
+		errs:        make([]error, slots),
+	}
+}
+
+// run advances every live slot by one tick and returns the number of
+// decode rows its forwards advanced (a row left out because its KV
+// reservation starved, or failed by a panic, is not counted). A zero-alloc
+// root: the steady-state decode tick is the serving hot path.
+//
+//aptq:noalloc
+func (t *tick) run(live []*slot, eos int) int {
+	t.prefills = t.prefills[:0]
+	t.rows = t.rows[:0]
+	for _, sl := range live {
+		switch t.planSlot(sl, eos) {
+		case workPrefill:
+			t.prefills = append(t.prefills, sl) //aptq:ignore noalloc within the capacity newTick sized to the slot count
+		case workDecode:
+			n := len(t.rows)
+			t.rows = append(t.rows, sl) //aptq:ignore noalloc within the capacity newTick sized to the slot count
+			t.sess[n] = sl.sess
+			t.toks[n] = sl.tok
+			if t.forwardPanicHook != nil && t.forwardPanicHook(sl.req) { //aptq:ignore noalloc test-only injection hook
+				t.toks[n] = -1 // no such token: the forward panics embedding the row
+			}
+		}
+	}
+	t.groups = infer.RowGroups(len(t.rows))
+	if n := len(t.prefills) + t.groups; n == 1 || parallel.Workers() == 1 {
+		for i := 0; i < n; i++ {
+			t.item(i)
+		}
+	} else {
+		parallel.ForEach(n, t.item)
+	}
+	for i, sl := range t.prefills {
+		t.commitSlot(sl, workPrefill, t.prefillErrs[i])
+	}
+	advanced := 0
+	for i, sl := range t.rows {
+		t.commitSlot(sl, workDecode, t.errs[i])
+		if t.errs[i] == nil {
+			advanced++
+		}
+	}
+	return advanced
+}
+
+// planSlot and commitSlot run a slot's plan and commit steps inside its
+// recover barrier; a slot whose plan panicked asks for no work.
+func (t *tick) planSlot(sl *slot, eos int) (w work) {
+	defer sl.isolate()                             //aptq:ignore noalloc the barrier formats an error only when a request panics
+	if t.panicHook != nil && t.panicHook(sl.req) { //aptq:ignore noalloc test-only injection hook
+		panic("serve: injected test panic")
+	}
+	return sl.plan(eos)
+}
+
+func (t *tick) commitSlot(sl *slot, w work, err error) {
+	defer sl.isolate() //aptq:ignore noalloc the barrier formats an error only when a request panics
+	sl.commit(w, err)
+}
+
+// item runs work item i of the region. Chunks come first: they are the
+// longest items, so the groups pack in behind them on the other workers.
+// A decode group needs no barrier here: infer re-runs a panicked group's
+// rows alone and reports the row at fault as an *infer.RowPanic, which
+// commit turns into that request's failure.
+func (t *tick) item(i int) {
+	if np := len(t.prefills); i >= np {
+		n := len(t.rows)
+		infer.DecodeRowGroup(t.sess[:n], t.toks[:n], t.errs[:n], t.groups, i-np)
+		return
+	}
+	defer t.prefills[i].isolate() //aptq:ignore noalloc the barrier formats an error only when a request panics
+	t.prefillErrs[i] = t.prefills[i].prefill()
 }
 
 // Scheduler is the continuous-batching engine. Construct with New; Submit
@@ -667,10 +790,7 @@ type Scheduler struct {
 
 	blocks      int   // model depth: pages-per-sequence multiplier in demand estimates
 	budgetPages int64 // pool page budget (0 = unbounded), cached from the pool
-	// panicHook, when set (tests only, before any Submit), forces a panic
-	// in the tick of any slot whose request it matches — the injection
-	// point for the panic-isolation tests.
-	panicHook func(Request) bool
+	tick              // the tick's work lists, owned by the decode loop
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -700,7 +820,7 @@ func New(m *model.Model, opts Options) *Scheduler {
 	if opts.PrefillChunk <= 0 {
 		opts.PrefillChunk = infer.DefaultPrefillChunk
 	}
-	s := &Scheduler{eos: opts.EOS, maxSeq: m.Cfg.MaxSeq, maxQueue: opts.MaxQueue, loopDone: make(chan struct{})}
+	s := &Scheduler{eos: opts.EOS, maxSeq: m.Cfg.MaxSeq, maxQueue: opts.MaxQueue, tick: newTick(opts.Slots), loopDone: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	// One page pool spans every slot and the prefix cache: pages published
 	// by one slot are adopted by reference in any other, and pool stats
@@ -892,26 +1012,6 @@ func (s *Scheduler) demandPages(req Request) int64 {
 	return int64(pages) * int64(s.blocks)
 }
 
-// tickSlot advances one slot inside a recover barrier: a panic anywhere in
-// the per-request tick work — forward pass, sampling, cache publication —
-// is isolated to a FinishError for that request; the slot delivers the
-// error and keeps serving (its session is recycled with a full Reset on
-// the next admission, and immediately under a budget). Without this, one
-// poisoned request would kill the decode loop and with it every request on
-// the replica.
-func (s *Scheduler) tickSlot(sl *slot) {
-	defer func() {
-		if r := recover(); r != nil {
-			sl.finish(FinishError, fmt.Errorf("serve: request panicked: %v", r))
-			sl.panicked = true
-		}
-	}()
-	if s.panicHook != nil && s.panicHook(sl.req) {
-		panic("serve: injected test panic")
-	}
-	sl.advance(s.eos)
-}
-
 // weaker orders slots for victim selection: lower priority first, then the
 // youngest (latest-submitted) of a class, then the higher slot index —
 // a total deterministic order, so a preemption storm converges instead of
@@ -1036,10 +1136,9 @@ func (s *Scheduler) Close() {
 	})
 }
 
-// loop is the decode loop: admit into free slots, advance all live slots
-// one token with a parallel fan-out, deliver finished results, repeat. A
-// freed slot is refilled at the top of the very next tick, so no slot
-// idles while requests queue.
+// loop is the decode loop: admit into free slots, run one tick over the
+// live slots, deliver finished results, repeat. A freed slot is refilled
+// at the top of the very next tick, so no slot idles while requests queue.
 func (s *Scheduler) loop() {
 	defer close(s.loopDone)
 	nActive := 0
@@ -1172,12 +1271,10 @@ func (s *Scheduler) loop() {
 				live = append(live, sl)
 			}
 		}
-		// The per-tick fan-out: each live slot advances exactly one token,
-		// touching only its own state, so the tick is bit-deterministic at
-		// any worker count (the internal/parallel contract). tickSlot wraps
-		// the advance in a recover barrier: a panicking request finishes
-		// with FinishError and frees its slot instead of killing the loop.
-		parallel.ForEach(len(live), func(i int) { s.tickSlot(live[i]) })
+		// Each live slot advances one token (or one prompt chunk). A work
+		// item touches only its own slots and a decode row's result does not
+		// depend on its group: bit-deterministic at any worker count.
+		decodeRows := s.run(live, s.eos)
 
 		// KV accounting, shared pages counted once: logical bytes sum every
 		// holder's references (slots here; the prefix cache's own logical
@@ -1190,6 +1287,9 @@ func (s *Scheduler) loop() {
 		}
 		ps := s.pool.Stats()
 		s.mu.Lock()
+		s.stats.Ticks++
+		s.stats.DecodeRows += int64(decodeRows)
+		freed := false // a finished slot returned its pages in this sweep
 		for _, sl := range live {
 			if sl.panicked {
 				s.stats.Panics++
@@ -1219,6 +1319,7 @@ func (s *Scheduler) loop() {
 				// now instead of lazily on its next admission: idle slots must
 				// not hoard budget other slots are starving for.
 				sl.sess.Reset()
+				freed = true
 			}
 		}
 		// Preemption, the budget's last resort: a slot that could not lease
@@ -1230,7 +1331,11 @@ func (s *Scheduler) loop() {
 		// next tick. If the starved slot is the only one running, there is
 		// nothing left to preempt or reclaim — it fails with the pool error
 		// (unreachable when admission is on: Submit rejects any request
-		// whose worst case exceeds the whole budget).
+		// whose worst case exceeds the whole budget) — unless a slot finished
+		// this very tick: it still held its pages while the starved work ran,
+		// they are back in the pool now, and the starved slot gets one retry
+		// against them (if they are not enough it starves again next tick,
+		// when nothing finished, and fails then).
 		if s.budgetPages > 0 {
 			var starved *slot
 			for _, sl := range s.slots {
@@ -1251,11 +1356,11 @@ func (s *Scheduler) loop() {
 						victim = sl
 					}
 				}
-				if actives <= 1 {
-					starved.finish(FinishError, infer.ErrPoolExhausted) // delivered next tick
-				} else {
+				if actives > 1 {
 					s.preemptLocked(victim)
 					nActive--
+				} else if !freed {
+					starved.finish(FinishError, infer.ErrPoolExhausted) // delivered next tick
 				}
 			}
 		}
@@ -1298,8 +1403,10 @@ func Sequential(m *model.Model, req Request, opts Options) Result {
 	}
 	sl := newSlot(sess, m.Cfg.MaxSeq, chunk, nil)
 	sl.start(req, nil, time.Now(), nil)
+	tk := newTick(1)
+	live := []*slot{sl}
 	for !sl.done {
-		sl.advance(opts.EOS)
+		tk.run(live, opts.EOS)
 	}
 	return sl.result()
 }

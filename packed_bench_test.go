@@ -2,10 +2,12 @@
 // Each MatVec pair compares one decode-step projection (1 x in row times
 // an out x in weight matrix) between the float64 path and dequant-on-the-
 // fly packed execution (LUT-accelerated), reporting resident weight bytes
-// alongside ns/op; the DecodeBatch pairs run steady-state multi-sequence
-// KV-cached generation on recycled sessions — zero allocations per token
-// on the float path (the decode-arena property, test-enforced in
-// internal/infer). The RoPEAt pair records the incremental-decode
+// alongside ns/op; the DecodeBatch rungs run steady-state KV-cached
+// generation of 1, 4 and 8 sequences through infer.Batch.Step — one shared
+// forward per step, pinned to one worker, so tok/s at B = 8 over B = 1 is
+// what decoding each weight row once per step instead of once per sequence
+// buys — with zero allocations per token on the float path (test-enforced
+// in internal/infer). The RoPEAt pair records the incremental-decode
 // rotation fix (direct rotate-at-position vs the previous padded-matrix
 // embedding).
 //
@@ -19,6 +21,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -74,14 +77,15 @@ func BenchmarkMatVecFloat64(b *testing.B)    { benchMatVecFloat(b) }
 func BenchmarkMatVecPacked4Bit(b *testing.B) { benchMatVecPacked(b, 4) }
 func BenchmarkMatVecPacked2Bit(b *testing.B) { benchMatVecPacked(b, 2) }
 
-// benchDecodeBatch measures steady-state decode: n recycled sessions
-// (warm KV chunks, decode/prefill arenas, sampler buffers and packed LUT
-// tables — the regime of a serving slot pool) each prefill a short prompt
-// and sample-and-feed steps tokens. The measured loop performs zero heap
-// allocations on the float path at one worker (reported via -benchmem /
-// allocs/op); before the decode arena it paid ~3k allocations (~1 MB) per
-// token. Reports tokens/s of generated tokens.
+// benchDecodeBatch measures steady-state decode at batch size n on one
+// worker: n recycled sessions (warm KV pages, forward arenas, sampler
+// buffers and packed LUT tables — the regime of a serving slot pool) each
+// prefill a short prompt, then sample-and-feed steps tokens in lockstep
+// through Batch.Step, one shared forward per step. Reports tokens/s of
+// generated tokens.
 func benchDecodeBatch(b *testing.B, m *model.Model, n int, weightBytes int64) {
+	defer parallel.SetWorkers(parallel.Workers())
+	parallel.SetWorkers(1)
 	rng := rand.New(rand.NewSource(2))
 	prompts := make([][]int, n)
 	for i := range prompts {
@@ -89,33 +93,38 @@ func benchDecodeBatch(b *testing.B, m *model.Model, n int, weightBytes int64) {
 	}
 	const steps = 16
 	batch := infer.NewBatch(m, n)
-	samplers := make([]*infer.Sampler, n)
+	samplers := make([]infer.Sampler, n)
 	rngs := make([]*rand.Rand, n)
-	for i := range samplers {
-		samplers[i] = &infer.Sampler{}
+	for i := range rngs {
 		rngs[i] = rand.New(rand.NewSource(0))
 	}
+	toks := make([]int, n)
+	prefilled := make([]*tensor.Mat, n)
 	run := func() {
 		batch.Reset()
-		for i := 0; i < n; i++ {
+		logits := prefilled
+		for i := range logits {
 			rngs[i].Seed(int64(7 + i)) // per-sequence stream, re-seeded per run
-			sess := batch.Session(i)
-			logits, err := sess.Append(prompts[i])
+			l, err := batch.Session(i).Append(prompts[i])
 			if err != nil {
 				b.Fatal(err)
 			}
-			for t := 0; t < steps; t++ {
-				tok := samplers[i].Sample(rngs[i], logits.Row(0), 0.8)
-				if t == steps-1 {
-					break // last sampled token is not fed back (Generate's shape)
-				}
-				if logits, err = sess.Step(tok); err != nil {
-					b.Fatal(err)
-				}
+			logits[i] = l
+		}
+		for t := 0; t < steps; t++ {
+			for i := range toks {
+				toks[i] = samplers[i].Sample(rngs[i], logits[i].Row(0), 0.8)
+			}
+			if t == steps-1 {
+				break // last sampled token is not fed back (Generate's shape)
+			}
+			var err error
+			if logits, err = batch.Step(toks); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	run() // warm arenas, KV chunks and LUT tables out of the measurement
+	run() // warm arenas, KV pages and LUT tables out of the measurement
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,6 +172,18 @@ func BenchmarkDecodeBatch4Float(b *testing.B) {
 	skipUnderShort(b)
 	m, bytes := floatBenchModel()
 	benchDecodeBatch(b, m, 4, bytes)
+}
+
+func BenchmarkDecodeBatch8Float(b *testing.B) {
+	skipUnderShort(b)
+	m, bytes := floatBenchModel()
+	benchDecodeBatch(b, m, 8, bytes)
+}
+
+func BenchmarkDecodeBatch1Packed(b *testing.B) {
+	skipUnderShort(b)
+	m, bytes := packedBenchModel(b)
+	benchDecodeBatch(b, m, 1, bytes)
 }
 
 func BenchmarkDecodeBatch4Packed(b *testing.B) {
