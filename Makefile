@@ -3,7 +3,7 @@ GO ?= go
 # releases.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare batch-scaling-smoke serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
+.PHONY: all build test race bench bench-smoke bench-json bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
 
 # Output of `make bench-json` (benchmarks as data; CI uploads it) and the
 # committed baseline `make bench-compare` diffs it against.
@@ -76,6 +76,15 @@ bench-compare:
 batch-scaling-smoke:
 	./scripts/batch_scaling_smoke.sh
 
+# Paper-numbers gate: the repository benchmark's quantize-sweep runs must be
+# correct and print APTQ's exact, timing-free cells — C4 perplexity at FP
+# and avg 4.0 / 3.8 / 3.5 bits, zero-shot accuracy, average bits,
+# compressed bytes — equal to the values pinned in the script, so a
+# statistics or kernel refactor cannot silently move them. Reads the
+# benchmark's output; edits nothing under bench/.
+quantize-smoke:
+	./scripts/quantize_smoke.sh
+
 # End-to-end smoke of the HTTP serving front-end: build aptq-serve, start
 # it, issue the same generate request twice, assert byte-identical replies
 # — then once more as an SSE stream, asserting the assembled stream is
@@ -130,4 +139,4 @@ staticcheck:
 
 # Mirrors .github/workflows/ci.yml (staticcheck needs network on first
 # use to fetch the pinned binary; later runs hit the local cache).
-ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare batch-scaling-smoke serve-smoke latency-smoke router-smoke pressure-smoke
+ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke

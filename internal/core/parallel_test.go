@@ -76,3 +76,42 @@ func TestQuantizeParallelRace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCollectStatsParallelBitIdentical: the per-segment fork (loss
+// backward beside one task per block) hands every accumulator its terms in
+// the same order whatever runs where, so one worker, two, and more workers
+// than there are tasks give element-wise equal statistics.
+func TestCollectStatsParallelBitIdentical(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	collect := func(workers int) *Stats {
+		parallel.SetWorkers(workers)
+		return collectTestStats(t)
+	}
+	serial := collect(1)
+	for _, workers := range []int{2, 9} {
+		par := collect(workers)
+		if par.Tokens != serial.Tokens || par.Probes != serial.Probes || len(par.Layers) != len(serial.Layers) {
+			t.Fatalf("workers %d: stats header differs from serial", workers)
+		}
+		for i := range serial.Layers {
+			s, p := &serial.Layers[i], &par.Layers[i]
+			same := reflect.DeepEqual(s.XtX, p.XtX) && reflect.DeepEqual(s.AttnH, p.AttnH) &&
+				reflect.DeepEqual(s.HeadH, p.HeadH) && reflect.DeepEqual(s.FisherDiag, p.FisherDiag)
+			if !same {
+				t.Fatalf("workers %d: %s statistics differ from serial", workers, s.Ref.Name())
+			}
+		}
+	}
+}
+
+// TestCollectStatsParallelRace runs the fork with more workers than tasks
+// under -race (the CI race job runs this): the loss backward and the block
+// tasks read one forward's caches and must write disjoint memory.
+func TestCollectStatsParallelRace(t *testing.T) {
+	parallel.SetWorkers(9)
+	defer parallel.SetWorkers(0)
+	collectTestStats(t)
+	if _, err := CollectStats(gptModel(), testCalib(6), CollectOptions{Probes: 2, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -75,14 +76,26 @@ type CollectOptions struct {
 }
 
 // CollectStats runs the model over the calibration set and accumulates all
-// Hessian statistics in one pass per segment:
+// Hessian statistics:
 //
 //   - every linear layer's input Gram XᵀX,
 //   - W_O's effective-input Gram Concat(heads)ᵀConcat(heads),
 //   - W_V's per-head effective-input Grams (A_h·X)ᵀ(A_h·X),
 //   - W_Q/W_K probe Jacobian Grams: for Rademacher probes R over the
 //     attention output F, backpropagate s = ⟨R, F⟩ through the softmax and
-//     matmuls (eqs. 12/13) to get G = ∂s/∂W and accumulate GᵀG.
+//     matmuls (eqs. 12/13) to get G = ∂s/∂W and accumulate GᵀG,
+//   - the diagonal empirical Fisher of the LM loss.
+//
+// Each segment costs one forward. Everything else reads that forward's
+// caches: the segment's probes are drawn first (probe-major, block-minor,
+// so the seeded stream does not depend on scheduling), then the loss
+// backward for the Fisher diagonal and one task per block — the block's
+// layer Grams and its probes, in probe order — run as one parallel.ForEach.
+// The backward writes only Param.Grad and FisherDiag, a block task only its
+// own layers' accumulators and scratch, and every accumulator receives its
+// terms from one goroutine in segment order, so the result is bit-identical
+// at any worker count. The tensor kernels inside the tasks find the spawn
+// budget taken and run inline.
 //
 // After the pass, accumulators are normalized to Hessians:
 // H = 2·Σ(stat)/tokens, with the probe statistic additionally divided by
@@ -93,6 +106,11 @@ type CollectOptions struct {
 func CollectStats(m *model.Model, calib *data.CalibrationSet, opts CollectOptions) (*Stats, error) {
 	if len(calib.Segments) == 0 {
 		return nil, fmt.Errorf("core: empty calibration set")
+	}
+	for i, seg := range calib.Segments {
+		if len(seg) == 0 {
+			return nil, fmt.Errorf("core: calibration segment %d is empty", i)
+		}
 	}
 	if opts.Probes <= 0 {
 		opts.Probes = 4
@@ -118,88 +136,165 @@ func CollectStats(m *model.Model, calib *data.CalibrationSet, opts CollectOption
 		}
 		st.Layers = append(st.Layers, ls)
 	}
+	blocks := newBlockStats(m, st, opts.Probes)
 
 	for _, seg := range calib.Segments {
-		m.Forward(seg)
+		logits := m.Forward(seg)
 		st.Tokens += len(seg)
-		for i := range st.Layers {
-			ls := &st.Layers[i]
-			// GPTQ statistic for every layer.
-			tensor.AccumGram(ls.XtX, ls.Ref.Linear.LastInput())
-			switch ls.Ref.Role {
-			case model.RoleO:
-				// eq. (9): effective input of W_O is Concat(head_1..H).
-				tensor.AccumGram(ls.AttnH, ls.Ref.Attn.LastContext())
-			case model.RoleV:
-				// eqs. (10)/(11): per-head effective input M_h = A_h·X.
-				x := ls.Ref.Attn.LastInput()
-				for h := 0; h < ls.Ref.Attn.Heads; h++ {
-					mh := tensor.MatMul(ls.Ref.Attn.HeadAttn(h), x)
-					tensor.AccumGram(ls.HeadH[h], mh)
-				}
+		for b := range blocks {
+			blocks[b].fit(len(seg))
+		}
+		for p := 0; p < opts.Probes; p++ {
+			for b := range blocks {
+				rademacher(rng, blocks[b].r[p])
 			}
 		}
-		// Probe backprop for W_Q / W_K of every block, reusing this
-		// segment's forward caches.
-		accumProbeGrams(m, st, rng, opts.Probes, len(seg))
-
-		// Diagonal empirical Fisher of the LM loss on this segment (runs
-		// its own forward, so it comes after all cache consumers).
-		batch := data.NextTokenBatch(seg)
-		m.ZeroGrad()
-		m.LossAndBackward(batch.IDs, batch.Targets)
-		for i := range st.Layers {
-			ls := &st.Layers[i]
-			g := ls.Ref.Linear.P.Grad
-			for j, gv := range g.Data {
-				ls.FisherDiag.Data[j] += gv * gv
+		parallel.ForEach(1+len(blocks), func(i int) {
+			if i == 0 {
+				st.accumFisher(m, logits, seg)
+			} else {
+				blocks[i-1].accum()
 			}
-		}
+		})
 	}
 	m.ZeroGrad()
 
-	st.finalize(m)
+	for b := range blocks {
+		blocks[b].copySharedGrams()
+	}
+	st.finalize()
 	return st, nil
 }
 
-// accumProbeGrams implements the probe-based Jacobian path of eqs. (12)/(13):
-// sample R with iid ±1 entries over the attention output, compute
-// G = ∂⟨R,F⟩/∂W via the attention backward pass, and accumulate GᵀG.
-func accumProbeGrams(m *model.Model, st *Stats, rng *rand.Rand, probes, seqLen int) {
-	// Locate each block's Q and K stat entries by role (blocks have 7
-	// quantizable layers in the LLaMA architecture, 6 in GPT).
-	qIdx := make([]int, len(m.Blocks))
-	kIdx := make([]int, len(m.Blocks))
+// accumFisher adds the segment's squared LM-loss gradients to every
+// layer's FisherDiag, backpropagating from the logits of the forward the
+// block statistics also read.
+func (st *Stats) accumFisher(m *model.Model, logits *tensor.Mat, seg []int) {
+	m.ZeroGrad()
+	m.BackwardFromLogits(logits, data.NextTokenBatch(seg).Targets)
 	for i := range st.Layers {
-		switch st.Layers[i].Ref.Role {
-		case model.RoleQ:
-			qIdx[st.Layers[i].Ref.Block] = i
-		case model.RoleK:
-			kIdx[st.Layers[i].Ref.Block] = i
-		}
-	}
-	for p := 0; p < probes; p++ {
-		// One probe drives all blocks simultaneously (independent
-		// Rademacher draws per block).
-		for bi, b := range m.Blocks {
-			attn := b.Attn
-			wq, wk := nn.AsLinear(attn.WQ), nn.AsLinear(attn.WK)
-			r := rademacher(rng, seqLen, m.Cfg.Dim)
-			wq.P.ZeroGrad()
-			wk.P.ZeroGrad()
-			nn.AsLinear(attn.WV).P.ZeroGrad()
-			nn.AsLinear(attn.WO).P.ZeroGrad()
-			attn.Backward(r)
-			gq := wq.P.Grad
-			gk := wk.P.Grad
-			tensor.AddInPlace(st.Layers[qIdx[bi]].AttnH, tensor.MatMulTN(gq, gq))
-			tensor.AddInPlace(st.Layers[kIdx[bi]].AttnH, tensor.MatMulTN(gk, gk))
+		ls := &st.Layers[i]
+		for j, gv := range ls.Ref.Linear.P.Grad.Data {
+			ls.FisherDiag.Data[j] += gv * gv
 		}
 	}
 }
 
-func rademacher(rng *rand.Rand, rows, cols int) *tensor.Mat {
-	r := tensor.New(rows, cols)
+// blockStats is one block's task in CollectStats' per-segment fork: its
+// slice of Stats.Layers plus the working memory its statistics reuse
+// across probes and segments.
+type blockStats struct {
+	attn   *nn.Attention
+	layers []LayerStats // aliases Stats.Layers
+	q, k   *LayerStats
+
+	r     []*tensor.Mat // this segment's probes (n x dim), drawn before the fork
+	probe nn.QKProbe
+	mh    *tensor.Mat // A_h·X
+	gtg   *tensor.Mat // one probe's GᵀG
+}
+
+func newBlockStats(m *model.Model, st *Stats, probes int) []blockStats {
+	blocks := make([]blockStats, len(m.Blocks))
+	lo := 0
+	for bi := range blocks {
+		hi := lo
+		for hi < len(st.Layers) && st.Layers[hi].Ref.Block == bi {
+			hi++
+		}
+		b := &blocks[bi]
+		b.attn = m.Blocks[bi].Attn
+		b.layers = st.Layers[lo:hi]
+		for i := range b.layers {
+			switch b.layers[i].Ref.Role {
+			case model.RoleQ:
+				b.q = &b.layers[i]
+			case model.RoleK:
+				b.k = &b.layers[i]
+			}
+		}
+		b.r = make([]*tensor.Mat, probes)
+		b.gtg = tensor.New(b.attn.Dim, b.attn.Dim)
+		lo = hi
+	}
+	return blocks
+}
+
+// fit sizes the per-segment scratch for a segment of n tokens.
+func (b *blockStats) fit(n int) {
+	if b.mh != nil && b.mh.Rows == n {
+		return
+	}
+	b.mh = tensor.New(n, b.attn.Dim)
+	for p := range b.r {
+		b.r[p] = tensor.New(n, b.attn.Dim)
+	}
+}
+
+// gramLayer returns the first layer of the block that read the same input
+// matrix as layer i in the last forward (W_Q/W_K/W_V all read the
+// attention input, SwiGLU's gate and up the MLP input). XtX is accumulated
+// on that layer only and copied to the others at the end.
+func (b *blockStats) gramLayer(i int) int {
+	x := b.layers[i].Ref.Linear.LastInput()
+	for j := 0; j < i; j++ {
+		if b.layers[j].Ref.Linear.LastInput() == x {
+			return j
+		}
+	}
+	return i
+}
+
+// accum adds the current segment's terms to every statistic of the block
+// except FisherDiag.
+func (b *blockStats) accum() {
+	for i := range b.layers {
+		ls := &b.layers[i]
+		// GPTQ statistic for every layer.
+		if b.gramLayer(i) == i {
+			tensor.AccumGram(ls.XtX, ls.Ref.Linear.LastInput())
+		}
+		switch ls.Ref.Role {
+		case model.RoleO:
+			// eq. (9): effective input of W_O is Concat(head_1..H).
+			tensor.AccumGram(ls.AttnH, b.attn.LastContext())
+		case model.RoleV:
+			// eqs. (10)/(11): per-head effective input M_h = A_h·X.
+			for h := range ls.HeadH {
+				tensor.MatMulInto(b.mh, b.attn.HeadAttn(h), b.attn.LastInput())
+				tensor.AccumGram(ls.HeadH[h], b.mh)
+			}
+		}
+	}
+	// eqs. (12)/(13): G = ∂⟨R,F⟩/∂W for W_Q and W_K, accumulate GᵀG.
+	for _, r := range b.r {
+		gq, gk := b.attn.ProbeQK(r, &b.probe)
+		b.addGram(b.q.AttnH, gq)
+		b.addGram(b.k.AttnH, gk)
+	}
+}
+
+// addGram adds gᵀg to h. The product is formed from zero in scratch and
+// added whole: accumulating its terms straight into h would associate
+// every element's sum differently.
+func (b *blockStats) addGram(h, g *tensor.Mat) {
+	b.gtg.Zero()
+	tensor.AccumGram(b.gtg, g)
+	tensor.AddInPlace(h, b.gtg)
+}
+
+// copySharedGrams gives every layer that left its XtX to an earlier layer
+// with the same input (see gramLayer) that layer's accumulator.
+func (b *blockStats) copySharedGrams() {
+	for i := range b.layers {
+		if from := b.gramLayer(i); from != i {
+			b.layers[i].XtX.CopyFrom(b.layers[from].XtX)
+		}
+	}
+}
+
+// rademacher overwrites r with iid ±1 entries.
+func rademacher(rng *rand.Rand, r *tensor.Mat) {
 	for i := range r.Data {
 		if rng.Intn(2) == 0 {
 			r.Data[i] = 1
@@ -207,11 +302,10 @@ func rademacher(rng *rand.Rand, rows, cols int) *tensor.Mat {
 			r.Data[i] = -1
 		}
 	}
-	return r
 }
 
 // finalize converts raw accumulators into Hessians with a common scale.
-func (st *Stats) finalize(m *model.Model) {
+func (st *Stats) finalize() {
 	if st.finalized {
 		return
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -112,8 +114,9 @@ func TestProbeEstimatorMatchesAnalyticOnWO(t *testing.T) {
 	probeH := tensor.New(m.Cfg.Dim, m.Cfg.Dim)
 	const probes = 600
 	prng := rand.New(rand.NewSource(4))
+	r := tensor.New(len(seg), m.Cfg.Dim)
 	for p := 0; p < probes; p++ {
-		r := rademacher(prng, len(seg), m.Cfg.Dim)
+		rademacher(prng, r)
 		nn.AsLinear(attn.WO).P.ZeroGrad()
 		nn.AsLinear(attn.WQ).P.ZeroGrad()
 		nn.AsLinear(attn.WK).P.ZeroGrad()
@@ -176,6 +179,48 @@ func TestStatsDeterministic(t *testing.T) {
 func TestCollectStatsEmptyCalibration(t *testing.T) {
 	if _, err := CollectStats(testModel(), &data.CalibrationSet{}, CollectOptions{}); err == nil {
 		t.Fatal("expected error for empty calibration set")
+	}
+	// Zero tokens used to pass the check, scale by 1/0 and hand back NaN
+	// Hessians with a nil error.
+	if _, err := CollectStats(testModel(), &data.CalibrationSet{Segments: [][]int{{}}}, CollectOptions{}); err == nil {
+		t.Fatal("expected error for a calibration set with no tokens")
+	}
+	calib := testCalib(3)
+	calib.Segments[1] = nil
+	_, err := CollectStats(testModel(), calib, CollectOptions{})
+	if err == nil || !strings.Contains(err.Error(), "segment 1") {
+		t.Fatalf("expected an error naming empty segment 1, got %v", err)
+	}
+}
+
+// TestCollectStatsSteadyStateAllocs guards the scratch reuse: past the
+// first segment the statistics themselves — probe draws, probe backwards
+// and their Grams, the layer and per-head Grams — run in per-block scratch,
+// so a segment's allocations are the model's own forward and loss backward
+// plus the closure each tensor kernel hands parallel.For (8 per probe per
+// block). On this model that is 397 objects per segment at 1 probe and 16
+// more per extra probe; the full-backward probe loop allocated 662 and 148.
+func TestCollectStatsSteadyStateAllocs(t *testing.T) {
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	m := testModel()
+	perSegment := func(probes int) float64 {
+		allocs := func(segments int) float64 {
+			calib := testCalib(segments)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := CollectStats(m, calib, CollectOptions{Probes: probes, Seed: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(6) - allocs(2)) / 4
+	}
+	one, eight := perSegment(1), perSegment(8)
+	if one > 450 {
+		t.Errorf("a later segment allocates %.0f objects at 1 probe, want <= 450", one)
+	}
+	if perProbe, max := (eight-one)/7, float64(8*len(m.Blocks)); perProbe > max {
+		t.Errorf("a probe allocates %.1f objects per segment, want <= %.0f (kernel closures only)", perProbe, max)
 	}
 }
 

@@ -371,3 +371,29 @@ func (s *Session) AdoptPages(ps *PageSpan) error {
 	s.pos = ps.End
 	return nil
 }
+
+// ReplacePages swaps the session's own pages over [ps.Start, ps.End) for
+// the span's: the de-duplication half of page sharing. Two sessions that
+// prefill the same prefix side by side compute the same rows twice —
+// byte-identical by determinism — and the one that learns of the other's
+// pages second drops its copies for them, so the pool holds the prefix
+// once however the two raced. The rows must already be consumed (ps.End <=
+// Pos()), which makes every page involved full and therefore immutable;
+// like SharePages, anything else is a caller bug and panics. The session
+// takes its own references; the span stays the caller's.
+func (s *Session) ReplacePages(ps *PageSpan) {
+	rows := s.pool.rows
+	if ps.pool != s.pool || len(ps.pages) != len(s.caches) || ps.Start%rows != 0 || ps.End%rows != 0 || ps.End > s.pos {
+		panic(fmt.Sprintf("infer: ReplacePages of span [%d,%d) in a session at position %d (page rows %d)", ps.Start, ps.End, s.pos, rows))
+	}
+	for bi, c := range s.caches {
+		for i, pg := range ps.pages[bi] {
+			pi := ps.Start/rows + i
+			if old := c.pages[pi]; old != pg {
+				s.pool.retain(pg)
+				c.pages[pi] = pg
+				s.pool.release(old)
+			}
+		}
+	}
+}

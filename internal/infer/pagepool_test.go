@@ -260,3 +260,86 @@ func TestPagePoolRefcountLifecycle(t *testing.T) {
 		t.Fatalf("free list holds %d pages, want %d recycled", st.FreePages, wantInUse)
 	}
 }
+
+// TestReplacePagesDropsDuplicateCopy: two sessions that prefilled the same
+// prompt hold the same bytes in different pages; after one replaces its
+// full page with the other's, the pool holds that page once, the session
+// decodes bit-identically to a session that kept its own copy, and every
+// reference still returns to the pool.
+func TestReplacePagesDropsDuplicateCopy(t *testing.T) {
+	for _, kvBits := range []int{0, 4} {
+		m := model.New(model.Tiny(), 3)
+		pool, first, second := pooledPair(m, kvBits)
+		rows := pool.Rows()
+		prompt := pagePrompt(rows+3, m.Cfg.Vocab) // one full page plus a tail
+		keeper := NewSessionPooled(m.View(), pool, kvBits)
+		for _, s := range []*Session{first, second, keeper} {
+			if _, err := s.Prefill(prompt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blocks := int64(len(m.Blocks))
+		if got := pool.Stats().PagesInUse; got != 6*blocks {
+			t.Fatalf("kv%d: three private copies hold %d pages, want %d", kvBits, got, 6*blocks)
+		}
+
+		span := first.SharePages(0, rows)
+		second.ReplacePages(span)
+		second.ReplacePages(span) // already the same pages: a no-op
+		span.Release()
+		if got := pool.Stats().PagesInUse; got != 5*blocks {
+			t.Fatalf("kv%d: %d pages in use after the swap, want %d", kvBits, got, 5*blocks)
+		}
+
+		want, err := keeper.Step(prompt[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := second.Step(prompt[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Row(0) {
+			if got.Row(0)[i] != w {
+				t.Fatalf("kv%d: logit %d after the swap = %v, want %v", kvBits, i, got.Row(0)[i], w)
+			}
+		}
+
+		first.Reset()
+		second.Reset()
+		keeper.Reset()
+		if got := pool.Stats().PagesInUse; got != 0 {
+			t.Fatalf("kv%d: %d pages leaked", kvBits, got)
+		}
+	}
+}
+
+// TestReplacePagesValidation: the span must cover consumed, page-aligned
+// rows of the session's own pool.
+func TestReplacePagesValidation(t *testing.T) {
+	m := model.New(model.Tiny(), 3)
+	pool, donor, short := pooledPair(m, 0)
+	rows := pool.Rows()
+	if _, err := donor.Prefill(pagePrompt(rows+1, m.Cfg.Vocab)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := short.Prefill(pagePrompt(rows-1, m.Cfg.Vocab)); err != nil {
+		t.Fatal(err)
+	}
+	span := donor.SharePages(0, rows)
+	defer span.Release()
+	_, foreign, _ := pooledPair(m, 0)
+	if _, err := foreign.Prefill(pagePrompt(rows+1, m.Cfg.Vocab)); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Session{"rows not consumed yet": short, "another pool": foreign} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ReplacePages did not panic", name)
+				}
+			}()
+			s.ReplacePages(span)
+		}()
+	}
+}

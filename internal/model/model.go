@@ -178,7 +178,16 @@ func (m *Model) Loss(ids []int, targets []int) float64 {
 // LossAndBackward computes the loss and accumulates gradients on every
 // parameter. Callers zero gradients beforehand (see ZeroGrad).
 func (m *Model) LossAndBackward(ids []int, targets []int) float64 {
-	logits := m.Forward(ids)
+	return m.BackwardFromLogits(m.Forward(ids), targets)
+}
+
+// BackwardFromLogits is the backward half of LossAndBackward: given the
+// logits of the most recent Forward (whose layer caches it reads), it
+// computes the cross-entropy loss against targets and accumulates
+// gradients on every parameter. A caller that already ran Forward for
+// another purpose — calibration reads the same caches for its Hessian
+// statistics — gets the loss gradient without a second forward.
+func (m *Model) BackwardFromLogits(logits *tensor.Mat, targets []int) float64 {
 	loss, dLogits := nn.CrossEntropy(logits, targets)
 	dx := m.Norm.Backward(m.Head.Backward(dLogits))
 	for i := len(m.Blocks) - 1; i >= 0; i-- {

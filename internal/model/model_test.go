@@ -181,3 +181,28 @@ func TestForwardUsesAllBlocks(t *testing.T) {
 		t.Fatal("perturbing last block did not change logits")
 	}
 }
+
+// TestBackwardFromLogitsMatchesLossAndBackward: a Forward followed by
+// BackwardFromLogits on its logits is LossAndBackward — same loss, same
+// bits in every gradient — on both architectures, so training and the
+// one-forward calibration pass share their numerics.
+func TestBackwardFromLogitsMatchesLossAndBackward(t *testing.T) {
+	ids := []int{1, 5, 9, 2, 30, 7}
+	targets := []int{5, 9, 2, 30, 7, -1}
+	for _, cfg := range []Config{Tiny(), TinyGPT()} {
+		whole, split := New(cfg, 2), New(cfg, 2)
+		wantLoss := whole.LossAndBackward(ids, targets)
+		logits := split.Forward(ids)
+		if gotLoss := split.BackwardFromLogits(logits, targets); gotLoss != wantLoss {
+			t.Fatalf("%s: loss %v from logits, %v from LossAndBackward", cfg.Name, gotLoss, wantLoss)
+		}
+		want, got := whole.Params(), split.Params()
+		for i := range want {
+			for j, g := range want[i].Grad.Data {
+				if math.Float64bits(got[i].Grad.Data[j]) != math.Float64bits(g) {
+					t.Fatalf("%s: %s.Grad[%d] = %v, want %v", cfg.Name, want[i].Name, j, got[i].Grad.Data[j], g)
+				}
+			}
+		}
+	}
+}

@@ -134,18 +134,8 @@ func (a *Attention) Backward(dOut *tensor.Mat) *tensor.Mat {
 		dVh := tensor.MatMulTN(att, dCtxh)
 		dA := tensor.MatMulNT(dCtxh, vh)
 
-		// Softmax backward per causal row:
-		// dS_ij = A_ij · (dA_ij − Σ_k A_ik dA_ik), j <= i.
 		dS := tensor.New(n, n)
-		for i := 0; i < n; i++ {
-			arow := att.Row(i)[:i+1]
-			darow := dA.Row(i)[:i+1]
-			dot := tensor.Dot(arow, darow)
-			dsrow := dS.Row(i)[:i+1]
-			for j := range arow {
-				dsrow[j] = arow[j] * (darow[j] - dot)
-			}
-		}
+		causalSoftmaxBackward(dS, att, dA)
 
 		// dQ_h = dS·K_h·invSqrt ; dK_h = dSᵀ·Q_h·invSqrt
 		dQh := tensor.MatMul(dS, kh)
@@ -168,6 +158,97 @@ func (a *Attention) Backward(dOut *tensor.Mat) *tensor.Mat {
 	tensor.AddInPlace(dx, a.WK.Backward(dK))
 	tensor.AddInPlace(dx, a.WV.Backward(dV))
 	return dx
+}
+
+// causalSoftmaxBackward writes the score gradient of one head's causal row
+// softmax into the lower triangle of dS (the rest is left as it is):
+// dS_ij = A_ij · (dA_ij − Σ_k A_ik dA_ik), j <= i.
+func causalSoftmaxBackward(dS, att, dA *tensor.Mat) {
+	for i := 0; i < att.Rows; i++ {
+		arow := att.Row(i)[:i+1]
+		darow := dA.Row(i)[:i+1]
+		dot := tensor.Dot(arow, darow)
+		dsrow := dS.Row(i)[:i+1]
+		for j := range arow {
+			dsrow[j] = arow[j] * (darow[j] - dot)
+		}
+	}
+}
+
+// QKProbe is the working memory of Attention.ProbeQK, reused across calls
+// so a calibration pass allocates it once per block rather than once per
+// probe. The zero value is ready to use; it re-sizes itself when the
+// sequence length changes.
+type QKProbe struct {
+	dCtx, dQ, dK                *tensor.Mat // n x Dim
+	dCtxh, qh, kh, vh, dQh, dKh *tensor.Mat // n x HeadDim
+	dA, dS                      *tensor.Mat // n x n; dS stays zero above the diagonal
+	gq, gk                      *tensor.Mat // Dim x Dim
+}
+
+// fit sizes the scratch for n rows of a.
+func (s *QKProbe) fit(a *Attention, n int) {
+	if s.dCtx != nil && s.dCtx.Rows == n && s.dCtx.Cols == a.Dim && s.qh.Cols == a.HeadDim {
+		return
+	}
+	s.dCtx, s.dQ, s.dK = tensor.New(n, a.Dim), tensor.New(n, a.Dim), tensor.New(n, a.Dim)
+	s.dCtxh, s.qh, s.kh = tensor.New(n, a.HeadDim), tensor.New(n, a.HeadDim), tensor.New(n, a.HeadDim)
+	s.vh, s.dQh, s.dKh = tensor.New(n, a.HeadDim), tensor.New(n, a.HeadDim), tensor.New(n, a.HeadDim)
+	s.dA, s.dS = tensor.New(n, n), tensor.New(n, n)
+	s.gq, s.gk = tensor.New(a.Dim, a.Dim), tensor.New(a.Dim, a.Dim)
+}
+
+// copyCols fills dst with columns [lo, lo+dst.Cols) of src.
+func copyCols(dst, src *tensor.Mat, lo int) {
+	for i := 0; i < dst.Rows; i++ {
+		copy(dst.Row(i), src.Row(i)[lo:lo+dst.Cols])
+	}
+}
+
+// ProbeQK returns G_Q = ∂⟨R,F⟩/∂W_Q and G_K = ∂⟨R,F⟩/∂W_K for a probe R
+// (n x dim) over the attention output F of the last Forward — the
+// Jacobian probes of eqs. (12)/(13). It is the Q/K slice of Backward(R):
+// dCtx = R·W_O, then per head dA → dS → dQ_h, dK_h, the inverse rotation,
+// and dQᵀX, dKᵀX, through the same kernels in the same order, so both
+// results equal the W_Q/W_K gradients Backward(R) adds to zeroed
+// accumulators bit for bit. What the probe has no use for — W_O's and
+// W_V's gradients, dV, dX — is not computed, and no Param.Grad is touched:
+// ProbeQK only reads the forward caches and the weights, so probes of
+// different blocks, and a backward pass through the same model, may run
+// concurrently. The returned matrices belong to s and are overwritten by
+// the next call.
+func (a *Attention) ProbeQK(r *tensor.Mat, s *QKProbe) (gq, gk *tensor.Mat) {
+	if a.x == nil {
+		panic("nn: Attention.ProbeQK before Forward")
+	}
+	n := a.x.Rows
+	s.fit(a, n)
+	invSqrt := 1 / math.Sqrt(float64(a.HeadDim))
+
+	tensor.MatMulInto(s.dCtx, r, AsLinear(a.WO).P.W)
+	for h := 0; h < a.Heads; h++ {
+		lo := h * a.HeadDim
+		copyCols(s.qh, a.q, lo)
+		copyCols(s.kh, a.k, lo)
+		copyCols(s.vh, a.v, lo)
+		copyCols(s.dCtxh, s.dCtx, lo)
+
+		tensor.MatMulNTInto(s.dA, s.dCtxh, s.vh)
+		causalSoftmaxBackward(s.dS, a.attn[h], s.dA)
+		tensor.MatMulInto(s.dQh, s.dS, s.kh)
+		s.dQh.Scale(invSqrt)
+		tensor.MatMulTNInto(s.dKh, s.dS, s.qh)
+		s.dKh.Scale(invSqrt)
+		s.dQ.SetSliceCols(lo, s.dQh)
+		s.dK.SetSliceCols(lo, s.dKh)
+	}
+	if a.Rope != nil {
+		a.Rope.ApplyInverse(s.dQ)
+		a.Rope.ApplyInverse(s.dK)
+	}
+	tensor.MatMulTNInto(s.gq, s.dQ, AsLinear(a.WQ).LastInput())
+	tensor.MatMulTNInto(s.gk, s.dK, AsLinear(a.WK).LastInput())
+	return s.gq, s.gk
 }
 
 // LastInput returns the cached block input X.

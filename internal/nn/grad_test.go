@@ -212,3 +212,71 @@ func TestSequenceNLLMatchesCrossEntropy(t *testing.T) {
 		t.Fatalf("NLL/n = %v, CE = %v", nll/float64(n), ce)
 	}
 }
+
+// TestProbeQKMatchesBackward pins ProbeQK to the full backward pass it was
+// cut from: on the rotary and on the biased GPT attention its G_Q and G_K
+// carry exactly the bits Backward leaves in zeroed W_Q / W_K gradient
+// accumulators, a second call through the same scratch repeats them, and
+// no Param.Grad is written.
+func TestProbeQKMatchesBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name string
+		a    *Attention
+	}{
+		{"rotary", NewAttention(rng, "a", 8, 2, 16, 10000)},
+		{"gpt", NewAttentionGPT(rng, "g", 8, 2)},
+	} {
+		name, a := tc.name, tc.a
+		x := tensor.Randn(rng, 5, 8, 1)
+		r := tensor.Randn(rng, 5, 8, 1)
+		a.Forward(x)
+		a.Backward(r)
+		wantQ, wantK := AsLinear(a.WQ).P.Grad.Clone(), AsLinear(a.WK).P.Grad.Clone()
+
+		for _, p := range a.Params() {
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = float64(i) + 0.5
+			}
+		}
+		var s QKProbe
+		a.ProbeQK(tensor.Randn(rng, 5, 8, 1), &s) // dirty the scratch
+		gq, gk := a.ProbeQK(r, &s)
+		for i := range wantQ.Data {
+			if math.Float64bits(gq.Data[i]) != math.Float64bits(wantQ.Data[i]) {
+				t.Fatalf("%s: G_Q[%d] = %v, Backward gives %v", name, i, gq.Data[i], wantQ.Data[i])
+			}
+			if math.Float64bits(gk.Data[i]) != math.Float64bits(wantK.Data[i]) {
+				t.Fatalf("%s: G_K[%d] = %v, Backward gives %v", name, i, gk.Data[i], wantK.Data[i])
+			}
+		}
+		for _, p := range a.Params() {
+			for i, g := range p.Grad.Data {
+				if g != float64(i)+0.5 {
+					t.Fatalf("%s: ProbeQK wrote %s.Grad[%d]", name, p.Name, i)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeQKRefitsScratch reuses one scratch across sequence lengths: the
+// rows above dS's diagonal must be zero again after a longer sequence.
+func TestProbeQKRefitsScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a := NewAttention(rng, "a", 8, 2, 16, 10000)
+	var s QKProbe
+	for _, n := range []int{6, 3, 6} {
+		x := tensor.Randn(rng, n, 8, 1)
+		r := tensor.Randn(rng, n, 8, 1)
+		a.Forward(x)
+		gq, _ := a.ProbeQK(r, &s)
+		for _, p := range a.Params() {
+			p.ZeroGrad()
+		}
+		a.Backward(r)
+		if !gq.Equal(AsLinear(a.WQ).P.Grad, 0) {
+			t.Fatalf("n = %d: G_Q differs from Backward after a scratch re-fit", n)
+		}
+	}
+}

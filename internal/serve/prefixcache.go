@@ -167,12 +167,21 @@ func (pc *prefixCache) lookup(prompt []int, limit int) (spans []*infer.PageSpan,
 	return spans, matched
 }
 
-// contains reports whether the exact prefix is cached — the cheap
-// pre-check a slot runs before paying for a SharePages refcount walk.
-func (pc *prefixCache) contains(prefix []int) bool {
+// share returns the cached page whose full prefix is prefix, retained on
+// the caller's behalf (Release it after use), or nil when the prefix is not
+// cached. It is what a slot about to publish a page asks first: a non-nil
+// answer means another request published the same page while this one was
+// computing it. It counts as neither a hit nor a miss and leaves the LRU
+// order alone — the caller did the prefill work regardless.
+func (pc *prefixCache) share(prefix []int) *infer.PageSpan {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.find(prefixkey.Hash(prefix), prefix) != nil
+	e := pc.find(prefixkey.Hash(prefix), prefix)
+	if e == nil {
+		return nil
+	}
+	e.span.Retain()
+	return e.span
 }
 
 // insert stores span as the cached page whose full prefix is prefix

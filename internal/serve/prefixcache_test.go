@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/infer"
 	"repro/internal/model"
@@ -31,6 +32,15 @@ func cacheTestSpan(t *testing.T, pool *infer.KVPagePool, m *model.Model, prefix 
 	ps := sess.SharePages(lo, hi)
 	sess.Reset()
 	return ps
+}
+
+// contains reports whether the exact prefix is cached.
+func (pc *prefixCache) contains(prefix []int) bool {
+	sp := pc.share(prefix)
+	if sp != nil {
+		sp.Release()
+	}
+	return sp != nil
 }
 
 // releaseAll drops the caller-side references a lookup returned.
@@ -390,6 +400,46 @@ func TestSchedulerKVAccountingAndPageRelease(t *testing.T) {
 	s.Close()
 	if ps := s.pool.Stats(); ps.PagesInUse != 0 {
 		t.Fatalf("%d pages still referenced after Close — refcount leak", ps.PagesInUse)
+	}
+}
+
+// TestSlotDropsDuplicatePrefixPage: two requests with the same cold prefix
+// admitted side by side both miss the cache and both prefill the prefix.
+// The slot that commits second finds the page published, drops its own
+// copy for it, and still produces its sequential reference — so the pool
+// holds the prefix once, not once per racing slot until their next
+// admissions.
+func TestSlotDropsDuplicatePrefixPage(t *testing.T) {
+	m := model.New(model.Tiny(), 1)
+	reqs := prefixRequests(m.Cfg.Vocab, 2) // both on sysA
+	pool := infer.NewPagePool(m.Cfg.Dim, m.Cfg.MaxSeq)
+	cache := newPrefixCache(pool.Rows(), 1<<20)
+	live := make([]*slot, len(reqs))
+	for i, r := range reqs {
+		live[i] = newSlot(infer.NewSessionPooled(m.View(), pool, 0), m.Cfg.MaxSeq, infer.PageRows, cache)
+		live[i].start(r, nil, time.Now(), nil)
+	}
+	tk := newTick(len(live))
+	tk.run(live, -1) // one tick: each slot prefills the shared page
+	blocks := int64(len(m.Blocks))
+	if got := pool.Stats().PagesInUse; got != blocks {
+		t.Fatalf("%d pages in use after both slots prefilled the shared page, want %d (one copy)", got, blocks)
+	}
+	if st := cache.snapshot(); st.Entries != 1 || st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("cache after the race: %+v, want 1 entry from 2 misses", st)
+	}
+	for !live[0].done || !live[1].done {
+		tk.run(live, -1)
+	}
+	for i, r := range reqs {
+		assertSameResult(t, r.ID, live[i].result(), Sequential(m, r, DefaultOptions()))
+	}
+	for _, sl := range live {
+		sl.sess.Reset()
+	}
+	cache.purge()
+	if got := pool.Stats().PagesInUse; got != 0 {
+		t.Fatalf("%d pages leaked", got)
 	}
 }
 

@@ -623,13 +623,23 @@ func (sl *slot) commit(w work, err error) {
 	// decoupled from the admission chunk size: the published cursor walks
 	// full pages regardless of how prefill ticks chop the prompt.
 	// SharePages bumps refcounts on the pages already resident in this slot
-	// — no bytes are copied; insert de-duplicates and evicts LRU entries
-	// past the byte budget. Only pages fully inside the original prompt are
-	// published: generated tokens are per-request, never a shareable prefix.
+	// — no bytes are copied; insert evicts LRU entries past the byte budget.
+	// Only pages fully inside the original prompt are published: generated
+	// tokens are per-request, never a shareable prefix.
+	//
+	// A page that is already cached was published by a request that
+	// prefilled the same prefix alongside this one (this slot's lookup came
+	// before that publication). The slot drops its own byte-identical copy
+	// for the cached page: kept, the copy would stay resident — and in the
+	// pool's high-water mark — until the slot's next admission, and
+	// resident KV would depend on how the two requests interleaved.
 	if sl.cache != nil {
 		for (sl.published+1)*sl.pageRows <= min(consumed, len(sl.req.Prompt)) {
 			hi := (sl.published + 1) * sl.pageRows
-			if !sl.cache.contains(sl.req.Prompt[:hi]) {
+			if cached := sl.cache.share(sl.req.Prompt[:hi]); cached != nil {
+				sl.sess.ReplacePages(cached)
+				cached.Release()
+			} else {
 				sl.cache.insert(sl.req.Prompt[:hi], sl.sess.SharePages(sl.published*sl.pageRows, hi)) //aptq:ignore noalloc prefix-cache publication runs per prompt page during prefill, never on the decode steady state
 			}
 			sl.published++
