@@ -79,8 +79,10 @@ batch-scaling-smoke:
 # Paper-numbers gate: the repository benchmark's quantize-sweep runs must be
 # correct and print APTQ's exact, timing-free cells — C4 perplexity at FP
 # and avg 4.0 / 3.8 / 3.5 bits, zero-shot accuracy, average bits,
-# compressed bytes — equal to the values pinned in the script, so a
-# statistics or kernel refactor cannot silently move them. Reads the
+# compressed bytes, and the served model's resident weight bytes (total and
+# per weight) — equal to the values pinned in the script, so a statistics
+# or kernel refactor cannot silently move them, nor a packed model grow
+# past its packed form in memory. Reads the
 # benchmark's output; edits nothing under bench/.
 quantize-smoke:
 	./scripts/quantize_smoke.sh

@@ -10,10 +10,11 @@
 //     model, infer, serve), whose output must be bit-identical to
 //     Sequential at any slot/worker count.
 //   - noalloc reads //aptq:noalloc annotations on hot-path roots
-//     (Session.Step, Append, the ForwardInto impls, decodeRowLUT*,
-//     Sampler.Sample, the scheduler tick) and walks the call graph
-//     flagging allocation-forcing constructs, turning the point checks of
-//     the testing.AllocsPerRun tests into whole-call-graph coverage.
+//     (Session.Step, Append, the ForwardInto impls, quant's decodeRow4,
+//     decodeRow2 and DecodeRowInto, Sampler.Sample, the scheduler tick)
+//     and walks the call graph flagging allocation-forcing constructs,
+//     turning the point checks of the testing.AllocsPerRun tests into
+//     whole-call-graph coverage.
 //   - foreachcapture inspects closures handed to parallel.For/ForEach for
 //     writes to captured state that are not index-disjoint — the
 //     race-by-construction patterns -race only catches when the schedule

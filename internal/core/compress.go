@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/model"
@@ -161,7 +162,11 @@ func readCompressedParts(rd io.Reader) (*model.Model, []*quant.PackedMatrix, err
 			return nil, nil, fmt.Errorf("core: tensor %q has %d values, expected %d", p.Name, len(t), len(p.W.Data))
 		}
 		for j, v := range t {
-			p.W.Data[j] = float64(v)
+			f := float64(v)
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, nil, fmt.Errorf("core: tensor %q has non-finite value %v at index %d", p.Name, v, j)
+			}
+			p.W.Data[j] = f
 		}
 	}
 	return m, packed, nil

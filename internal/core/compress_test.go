@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +80,53 @@ func TestCompressed2BitSmallerThan4Bit(t *testing.T) {
 func TestReadCompressedRejectsGarbage(t *testing.T) {
 	if _, err := ReadCompressed(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatal("expected decode error")
+	}
+}
+
+// TestReadCompressedRejectsNonFinite: a checkpoint is untrusted input, and
+// one NaN or infinite group parameter or full-precision value makes every
+// logit NaN with a nil error, so both load paths must refuse it and name
+// the layer or tensor.
+func TestReadCompressedRejectsNonFinite(t *testing.T) {
+	res, err := Quantize(testModel(), testCalib(6), DefaultOptions(0.75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := res.WriteCompressed(&good); err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	cases := []struct {
+		name    string
+		corrupt func(cf *compressedFile) (named string)
+	}{
+		{"NaN scale", func(cf *compressedFile) string { cf.Layers[0].Scales[0] = nan; return cf.Layers[0].Name }},
+		{"+Inf scale", func(cf *compressedFile) string { cf.Layers[0].Scales[0] = inf; return cf.Layers[0].Name }},
+		{"-Inf zero", func(cf *compressedFile) string { cf.Layers[1].Zeros[0] = -inf; return cf.Layers[1].Name }},
+		{"NaN embedding value", func(cf *compressedFile) string { cf.FPTensors[0][3] = nan; return cf.FPNames[0] }},
+		{"+Inf embedding value", func(cf *compressedFile) string { cf.FPTensors[0][3] = inf; return cf.FPNames[0] }},
+	}
+	for _, tc := range cases {
+		var cf compressedFile
+		if err := gob.NewDecoder(bytes.NewReader(good.Bytes())).Decode(&cf); err != nil {
+			t.Fatal(err)
+		}
+		named := tc.corrupt(&cf)
+		var bad bytes.Buffer
+		if err := gob.NewEncoder(&bad).Encode(cf); err != nil {
+			t.Fatal(err)
+		}
+		_, errFloat := ReadCompressed(bytes.NewReader(bad.Bytes()))
+		_, errPacked := ReadCompressedPacked(bytes.NewReader(bad.Bytes()))
+		for path, err := range map[string]error{"ReadCompressed": errFloat, "ReadCompressedPacked": errPacked} {
+			if err == nil || !strings.Contains(err.Error(), "non-finite") || !strings.Contains(err.Error(), named) {
+				t.Errorf("%s: %s returned %v, want a non-finite error naming %q", tc.name, path, err, named)
+			}
+		}
+	}
+	if _, err := ReadCompressedPacked(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("uncorrupted checkpoint: %v", err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Cross-session batched decode: one block forward per tick over the
-// current tokens of B sessions, so every packed weight row is LUT-decoded
+// current tokens of B sessions, so every packed weight row is decoded
 // once per tick and applied to all B rows instead of once per session.
 // DecodeRows is the primitive; Step is its B = 1 case, and the serving
 // scheduler and Batch run it one DecodeRowGroup per worker. Steady-state

@@ -11,7 +11,7 @@ import (
 
 // TestStepSteadyStateAllocs pins the forward-arena property at B = 1 — the
 // decode mirror of TestAppendSteadyStateAllocs: once a session has decoded one
-// sequence (scratch arena sized, KV chunks and LUT tables warm), further
+// sequence (scratch arena sized, KV chunks and decode buffers warm), further
 // decode steps on the float path allocate nothing at one worker, and the
 // packed path is bounded by the pooled decode buffers' noise.
 func TestStepSteadyStateAllocs(t *testing.T) {
@@ -22,8 +22,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		sess := NewSession(m.View())
 		rng := rand.New(rand.NewSource(9))
 		var sp Sampler
-		// Warm scratch, KV chunks, sampler buffers and (packed) LUT tables
-		// past the steady-state sequence length.
+		// Warm scratch, KV chunks, sampler buffers and (packed) pooled decode
+		// buffers past the steady-state sequence length.
 		logits, err := sess.Step(1)
 		if err != nil {
 			t.Fatal(err)

@@ -283,9 +283,10 @@ func (s *Session) KVCacheBytes() int {
 // Prefill consumes a prompt and returns the logits after its last token,
 // processing the prompt in DefaultPrefillChunk-sized batched chunks (see
 // Append) — bit-identical to feeding the prompt through Step token by
-// token, but with matrix-matrix projections, LUT-accelerated packed
-// decode and a reusable scratch arena, so time-to-first-token scales with
-// the prompt as a handful of block forwards instead of one per token.
+// token, but with matrix-matrix projections, each packed weight row
+// decoded once per chunk and a reusable scratch arena, so time-to-first-
+// token scales with the prompt as a handful of block forwards instead of
+// one per token.
 //
 // An empty prompt returns ErrEmptyPrompt: there is no last token to
 // report logits for. On any error the session is rolled back to its

@@ -222,7 +222,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		parallel.SetWorkers(1)
 		defer parallel.SetWorkers(0)
 		sess := NewSession(m.View())
-		// Warm scratch, KV chunks and (packed) LUT tables.
+		// Warm scratch, KV chunks and (packed) pooled decode buffers.
 		if _, err := sess.Append(chunk); err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 )
 
 // packMixed packs a Tiny-config model with alternating 2-bit and 4-bit
-// layers, so both LUT decoders run in every block.
+// layers, so both byte-wise decoders run in every block.
 func packMixed(t *testing.T, cfg model.Config) *model.Model {
 	t.Helper()
 	m := model.New(cfg, 3)

@@ -11,8 +11,10 @@ import (
 // the bit-packed code stream plus group parameters of a quantized weight
 // matrix and computes y = x·Wᵀ (+ bias) with group-wise dequantization on
 // the fly, honoring per-row mixed precision. The float64 weight matrix is
-// never materialized, so a model running on QuantizedLinear layers keeps
-// only the compressed representation resident — the memory footprint the
+// never materialized and a product builds nothing that outlives it, so a
+// model running on QuantizedLinear layers keeps only the compressed
+// representation resident (W.SizeBytes, pinned by quant's
+// TestPackedProductBuildsNoResidentState) — the memory footprint the
 // paper's "Avg bit" tables promise.
 //
 // Forward output is bit-identical to Linear.Forward over the dequantized
@@ -64,9 +66,9 @@ func (l *QuantizedLinear) Forward(x *tensor.Mat) *tensor.Mat {
 }
 
 // ForwardInto computes y = x·Wᵀ (+ bias) into out straight from the
-// packed codes. Multi-row inputs (the chunked prefill shape) route
-// through the LUT-accelerated matmul kernel; the result is bit-identical
-// to Forward either way.
+// packed codes. Multi-row inputs (the chunked prefill shape) decode each
+// weight row once for all their rows; the result is bit-identical to
+// Forward either way.
 //
 //aptq:noalloc
 func (l *QuantizedLinear) ForwardInto(out, x *tensor.Mat) {

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/parallel"
@@ -36,13 +37,10 @@ type PackedMatrix struct {
 	// Params[r*numGroups + g].
 	Params []GroupParams
 
-	// lutOnce/lut lazily hold the per-(row, group) dequantization tables
-	// of the LUT decode path (see EnsureLUT); pool recycles the per-worker
-	// row-decode buffers of the matmul kernel so steady-state matrix
-	// products allocate nothing.
-	lutOnce sync.Once
-	lut     *dequantLUT
-	pool    sync.Pool
+	// pool recycles the per-worker row-decode buffers of the matmul kernel
+	// so steady-state matrix products allocate nothing; it is the only
+	// state a product adds to the packed form.
+	pool sync.Pool
 }
 
 // bitsForRow returns the bit width used by row r.
@@ -95,14 +93,21 @@ func PackMatrix(q *QuantizedMatrix) (*PackedMatrix, error) {
 }
 
 // NewPackedFromStream reassembles a PackedMatrix from its serialized parts
-// (the compressed-checkpoint load path), validating stream and parameter
-// lengths.
+// (the compressed-checkpoint load path). The parts are untrusted: shape,
+// widths, stream and parameter lengths are validated — sizes against the
+// stream length first, so an absurd header cannot force a huge allocation
+// or overflow the offset arithmetic — and every group parameter must be
+// finite, or the served model would answer NaN logits with a nil error.
 func NewPackedFromStream(rows, cols, groupSize, bits int, rowBits []int, data []byte, params []GroupParams) (*PackedMatrix, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("quant: invalid packed shape %dx%d", rows, cols)
 	}
-	if groupSize <= 0 {
+	if groupSize <= 0 || groupSize > math.MaxInt-cols {
 		return nil, fmt.Errorf("quant: invalid packed group size %d", groupSize)
+	}
+	// Every row takes at least a byte and every code at least a bit.
+	if rows > len(data) || cols > 8*len(data) {
+		return nil, fmt.Errorf("quant: packed stream has %d bytes, too few for %dx%d", len(data), rows, cols)
 	}
 	if rowBits != nil && len(rowBits) != rows {
 		return nil, fmt.Errorf("quant: %d row bit widths for %d rows", len(rowBits), rows)
@@ -129,12 +134,25 @@ func NewPackedFromStream(rows, cols, groupSize, bits int, rowBits []int, data []
 	if want := rows * p.NumGroups(); len(params) != want {
 		return nil, fmt.Errorf("quant: packed matrix has %d group params, want %d", len(params), want)
 	}
+	for i, gp := range params {
+		if !finite(gp.Scale) || !finite(gp.Zero) {
+			return nil, fmt.Errorf("quant: row %d group %d has non-finite parameters (scale %v, zero %v)",
+				i/p.NumGroups(), i%p.NumGroups(), gp.Scale, gp.Zero)
+		}
+	}
 	return p, nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // DecodeRowInto dequantizes row r of the weight matrix into dst
 // (len >= Cols), group by group straight from the bit stream. The decoded
 // values are bit-identical to Dequantize() of the source QuantizedMatrix.
+// It is the reference every other decoder is tested against and the
+// kernel's decoder for every row decodeRows has no byte-wise one for.
+//
+//aptq:noalloc
 func (p *PackedMatrix) DecodeRowInto(dst []float64, r int) {
 	bits := p.bitsForRow(r)
 	data := p.Data[p.RowOff[r]:p.RowOff[r+1]]
@@ -166,19 +184,6 @@ func (p *PackedMatrix) DecodeRowInto(dst []float64, r int) {
 			nacc -= bits
 		}
 	}
-}
-
-// DecodeRowsInto dequantizes weight rows [lo, lo+dst.Rows) into dst
-// (dst.Cols == Cols), building the dequantization tables on first use —
-// the multi-column decode entry (weight rows are output columns of x·Wᵀ).
-// The decoded values are bit-identical to DecodeRowInto row by row.
-func (p *PackedMatrix) DecodeRowsInto(dst *tensor.Mat, lo int) {
-	if dst.Cols != p.Cols || lo < 0 || lo+dst.Rows > p.Rows {
-		panic(fmt.Sprintf("quant: DecodeRowsInto rows [%d,%d) of %dx%d into %dx%d",
-			lo, lo+dst.Rows, p.Rows, p.Cols, dst.Rows, dst.Cols))
-	}
-	p.EnsureLUT() //aptq:ignore noalloc LUT build runs once per matrix behind sync.Once; steady state reads the cached tables
-	p.decodeRows(dst.Data, lo, dst.Rows, p.lut)
 }
 
 // Unpack reverses PackMatrix, reconstructing the manipulation-format
@@ -225,30 +230,26 @@ func (p *PackedMatrix) getDecodeBuf() *[]float64 {
 
 // MatMulNTInto computes out = x·Wᵀ for x (n x Cols) against the packed
 // weight matrix W (Rows x Cols), dequantizing W a block of rows at a time
-// into a pooled per-worker scratch buffer. Every shape decodes through
-// the LUT tables (EnsureLUT, built lazily on the first product) — 4-bit
-// byte-aligned rows through the specialized two-codes-per-byte decoder —
-// so each code costs a table load instead of the affine arithmetic, and a
-// multi-row x (a prompt chunk, or one row from each session of a decode
-// tick) pays each weight row's decode once for all its rows. Weight rows
+// into a pooled per-worker scratch buffer (decodeRows: byte-aligned 4-bit
+// and 2-bit rows through the byte-wise decoders, the rest through
+// DecodeRowInto), so a multi-row x (a prompt chunk, or one row from each
+// session of a decode tick) pays each weight row's decode once for all its
+// rows and nothing but the packed form stays resident. Weight rows
 // (output columns) partition across workers; each output element
 // accumulates its k-terms in ascending order from a zero accumulator — the
 // exact inner-loop order of tensor.MatMulNTInto — so the result is
-// bit-identical to MatMulNT(x, W.Dequantize()) at any worker count, with
-// or without LUT.
+// bit-identical to MatMulNT(x, W.Dequantize()) at any worker count.
 func (p *PackedMatrix) MatMulNTInto(out, x *tensor.Mat) {
 	if x.Cols != p.Cols || out.Rows != x.Rows || out.Cols != p.Rows {
 		panic(fmt.Sprintf("quant: packed MatMulNT shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
 			x.Rows, x.Cols, p.Rows, p.Cols, out.Rows, out.Cols))
 	}
-	p.EnsureLUT() //aptq:ignore noalloc LUT build runs once per matrix behind sync.Once; steady state reads the cached tables
-	lut := p.lut
 	if parallel.Workers() == 1 {
-		p.matMulNTRange(out, x, lut, 0, p.Rows)
+		p.matMulNTRange(out, x, 0, p.Rows)
 		return
 	}
 	parallel.For(p.Rows, rowGrainPacked(x.Rows*p.Cols), func(lo, hi int) {
-		p.matMulNTRange(out, x, lut, lo, hi)
+		p.matMulNTRange(out, x, lo, hi)
 	})
 }
 
@@ -259,7 +260,7 @@ func (p *PackedMatrix) MatMulNTInto(out, x *tensor.Mat) {
 // latency-hiding blocking as tensor's kernel — while every output element
 // keeps its ascending-k accumulation order, so the result stays
 // bit-identical to the dequantized float matmul.
-func (p *PackedMatrix) matMulNTRange(out, x *tensor.Mat, lut *dequantLUT, lo, hi int) {
+func (p *PackedMatrix) matMulNTRange(out, x *tensor.Mat, lo, hi int) {
 	n := out.Cols
 	buf := p.getDecodeBuf()
 	w := *buf
@@ -268,7 +269,7 @@ func (p *PackedMatrix) matMulNTRange(out, x *tensor.Mat, lut *dequantLUT, lo, hi
 		if j1 > hi {
 			j1 = hi
 		}
-		p.decodeRows(w, j0, j1-j0, lut)
+		p.decodeRows(w, j0, j1-j0)
 		i := 0
 		for ; i+3 < x.Rows; i += 4 {
 			x0, x1, x2, x3 := x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3)
@@ -325,8 +326,10 @@ func rowGrainPacked(opsPerRow int) int {
 
 // SizeBytes returns the resident memory footprint of the packed form: the
 // bit streams, the float64 group parameters, and the per-row offset/width
-// bookkeeping. This is the number the serving-memory comparisons report
-// against 8 bytes per float64 weight.
+// bookkeeping. Products decode through a pooled scratch and build nothing
+// that outlives them (TestPackedProductBuildsNoResidentState), so this is
+// all a served matrix holds — the number the serving-memory comparisons
+// report against 8 bytes per float64 weight.
 func (p *PackedMatrix) SizeBytes() int64 {
 	b := int64(len(p.Data)) + int64(len(p.Params))*16 + int64(len(p.RowOff))*8
 	if p.RowBits != nil {
@@ -341,3 +344,14 @@ func (p *PackedMatrix) SizeBytes() int64 {
 func (p *PackedMatrix) AvgBits() float64 {
 	return float64(p.SizeBytes()*8) / float64(p.Rows*p.Cols)
 }
+
+// EnsureLUT does nothing: the packed form has no dequantization tables.
+//
+// Deprecated: kept only because bench/ calls it and may not change in the
+// PR that deleted the tables; it goes with those calls.
+func (p *PackedMatrix) EnsureLUT() {}
+
+// LUTBytes returns 0 (see EnsureLUT).
+//
+// Deprecated: kept only for bench/, like EnsureLUT.
+func (p *PackedMatrix) LUTBytes() int64 { return 0 }

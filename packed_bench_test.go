@@ -1,7 +1,7 @@
 // Float-vs-packed benchmark pairs for the quantized execution subsystem.
 // Each MatVec pair compares one decode-step projection (1 x in row times
 // an out x in weight matrix) between the float64 path and dequant-on-the-
-// fly packed execution (LUT-accelerated), reporting resident weight bytes
+// fly packed execution, reporting resident weight bytes
 // alongside ns/op; the DecodeBatch rungs run steady-state KV-cached
 // generation of 1, 4 and 8 sequences through infer.Batch.Step — one shared
 // forward per step, pinned to one worker, so tok/s at B = 8 over B = 1 is
@@ -79,7 +79,8 @@ func BenchmarkMatVecPacked2Bit(b *testing.B) { benchMatVecPacked(b, 2) }
 
 // benchDecodeBatch measures steady-state decode at batch size n on one
 // worker: n recycled sessions (warm KV pages, forward arenas, sampler
-// buffers and packed LUT tables — the regime of a serving slot pool) each
+// buffers and pooled packed-decode scratch — the regime of a serving slot
+// pool) each
 // prefill a short prompt, then sample-and-feed steps tokens in lockstep
 // through Batch.Step, one shared forward per step. Reports tokens/s of
 // generated tokens.
@@ -124,7 +125,7 @@ func benchDecodeBatch(b *testing.B, m *model.Model, n int, weightBytes int64) {
 			}
 		}
 	}
-	run() // warm arenas, KV pages and LUT tables out of the measurement
+	run() // warm arenas, KV pages and decode scratch out of the measurement
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

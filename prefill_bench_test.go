@@ -3,7 +3,7 @@
 // loop variants feed the prompt through Step one token at a time (a full
 // 1 x Dim matvec sweep and an O(seq) attention re-read per token — the
 // pre-chunking Prefill), the chunked variants run the batched block
-// forward (matrix-matrix projections, LUT-accelerated packed decode, bulk
+// forward (matrix-matrix projections, each packed row decoded once, bulk
 // KV append, reusable scratch arena). Outputs are bit-identical; both
 // report prompt tok/s.
 //
