@@ -3,7 +3,7 @@ GO ?= go
 # releases.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
+.PHONY: all build build-arm64 test race bench bench-smoke bench-json bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
 
 # Output of `make bench-json` (benchmarks as data; CI uploads it) and the
 # committed baseline `make bench-compare` diffs it against.
@@ -14,6 +14,13 @@ all: build
 
 build:
 	$(GO) build ./...
+
+# The side of the GOARCH fork an amd64 machine never runs: internal/quant's
+# macTile leaf has an assembly body on amd64 and the portable Go body
+# everywhere else. Cross-compiling needs no network and no emulator.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/quant/ ./internal/nn/
 
 test:
 	$(GO) test ./...
@@ -141,4 +148,4 @@ staticcheck:
 
 # Mirrors .github/workflows/ci.yml (staticcheck needs network on first
 # use to fetch the pinned binary; later runs hit the local cache).
-ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke
+ci: fmt-check vet aptq-vet staticcheck build build-arm64 test race bench-smoke bench-compare batch-scaling-smoke quantize-smoke serve-smoke latency-smoke router-smoke pressure-smoke

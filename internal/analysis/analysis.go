@@ -10,8 +10,9 @@
 //     model, infer, serve), whose output must be bit-identical to
 //     Sequential at any slot/worker count.
 //   - noalloc reads //aptq:noalloc annotations on hot-path roots
-//     (Session.Step, Append, the ForwardInto impls, quant's decodeRow4,
-//     decodeRow2 and DecodeRowInto, Sampler.Sample, the scheduler tick)
+//     (Session.Step, Append, the ForwardInto impls, quant's tile
+//     decoders, macTile leaves and DecodeRowInto, Sampler.Sample, the
+//     scheduler tick)
 //     and walks the call graph flagging allocation-forcing constructs,
 //     turning the point checks of the testing.AllocsPerRun tests into
 //     whole-call-graph coverage.

@@ -27,6 +27,12 @@ import (
 //   - capturing closures that outlive the statement, go statements
 //   - dynamic calls (function values, or interface methods without a
 //     //aptq:noalloc contract)
+//   - calls of a body-less declaration (an assembly routine) that does
+//     not carry //go:noescape: the compiler must assume its pointer
+//     arguments escape, which moves the caller's locals to the heap. With
+//     //go:noescape the declaration is a non-allocating leaf — assembly
+//     cannot call the allocator behind the checker's back without a
+//     stack frame and a CALL the reviewer of a .s file would see.
 //
 // Cross-package coverage comes from modular facts: each analyzed package
 // exports a may-allocate summary per function, folded transitively, so a
@@ -181,7 +187,7 @@ func (nc *noallocChecker) collectSummaries() {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
 				continue
 			}
 			fn, ok := nc.pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -190,11 +196,33 @@ func (nc *noallocChecker) collectSummaries() {
 			}
 			s := &funcSummary{fn: fn, decl: fd, noalloc: hasDirective(fd.Doc, directiveNoalloc)}
 			w := &allocWalker{nc: nc, sum: s}
-			w.sigs = append(w.sigs, fn.Type().(*types.Signature))
-			w.walkBody(fd.Body)
+			if fd.Body == nil {
+				// An assembly routine: nothing to walk. What the checker can
+				// see is whether the compiler was told its arguments stay put.
+				if !hasGoNoescape(fd.Doc) {
+					w.add(fd.Pos(), "body-less declaration without //go:noescape lets its pointer arguments escape to the heap")
+				}
+			} else {
+				w.sigs = append(w.sigs, fn.Type().(*types.Signature))
+				w.walkBody(fd.Body)
+			}
 			nc.summaries[fn] = s
 		}
 	}
+}
+
+// hasGoNoescape reports whether the declaration's comment group carries the
+// compiler's //go:noescape directive.
+func hasGoNoescape(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if c.Text == "//go:noescape" {
+			return true
+		}
+	}
+	return false
 }
 
 // allocWalker scans one function body for allocation-forcing constructs.
@@ -534,7 +562,8 @@ func (nc *noallocChecker) mayAlloc(fn *types.Func) (bool, string) {
 		return r.mayAlloc, r.why
 	}
 	if fn.Pkg() == nil || fn.Pkg() == nc.pass.Pkg {
-		// Bodyless local declaration (assembly stub): assume clean.
+		// A local function without a summary: declared in a _test.go file
+		// (never summarized) or synthesized by the type checker.
 		r.mayAlloc = false
 		return false, ""
 	}

@@ -1,6 +1,6 @@
 // Package root holds the //aptq:noalloc roots of the noalloc fixture: one
 // violation per construct class, the trusted paths that must stay silent,
-// and both suppression shapes.
+// both suppression shapes, and the two kinds of assembly declaration.
 package root
 
 import (
@@ -67,4 +67,26 @@ func HotCallsWarm(n int) int {
 func HotMissingReason(n int) []int {
 	//aptq:ignore noalloc
 	return make([]int, n) // want -1 noalloc:`needs a reason` noalloc:`make allocates`
+}
+
+// asmSum stands in for an assembly routine: no body for the checker to
+// walk. //go:noescape tells the compiler its pointer arguments stay on the
+// caller's stack, which makes it a non-allocating leaf.
+//
+//go:noescape
+func asmSum(acc *[4]float64, x *float64, n int)
+
+// asmSumLeaky is the same routine without the directive: every local whose
+// address it is handed moves to the heap.
+func asmSumLeaky(acc *[4]float64, x *float64, n int)
+
+// HotAsm reaches both: only the declaration without //go:noescape is a
+// violation.
+//
+//aptq:noalloc
+func HotAsm(x []float64) float64 {
+	var acc [4]float64
+	asmSum(&acc, &x[0], len(x))
+	asmSumLeaky(&acc, &x[0], len(x)) // want noalloc:`without //go:noescape`
+	return acc[0] + acc[1] + acc[2] + acc[3]
 }

@@ -22,8 +22,13 @@ import (
 // DecodeRowInto. The digest was computed at the commit before the
 // dequantization tables were deleted from internal/quant, so a change to a
 // packed decoder or to the matmul kernel's accumulation order proves
-// "bit-identical" here rather than asserting it.
+// "bit-identical" here rather than asserting it — under both leaves of the
+// packed product, the assembly one and the portable one.
 func TestPackedForwardGolden(t *testing.T) {
+	forEachLeaf(t, testPackedForwardGolden)
+}
+
+func testPackedForwardGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest is amd64's: compilers that fuse multiply-adds (arm64, ppc64le, s390x) round differently")
 	}

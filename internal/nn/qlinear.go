@@ -10,12 +10,14 @@ import (
 // QuantizedLinear is the packed low-bit counterpart of Linear: it holds
 // the bit-packed code stream plus group parameters of a quantized weight
 // matrix and computes y = x·Wᵀ (+ bias) with group-wise dequantization on
-// the fly, honoring per-row mixed precision. The float64 weight matrix is
-// never materialized and a product builds nothing that outlives it, so a
-// model running on QuantizedLinear layers keeps only the compressed
-// representation resident (W.SizeBytes, pinned by quant's
-// TestPackedProductBuildsNoResidentState) — the memory footprint the
-// paper's "Avg bit" tables promise.
+// the fly, honoring per-row mixed precision: quant decodes eight weight
+// rows at a time into a pooled k-major tile and multiplies it by every row
+// of x (an AVX2 leaf where the CPU has it, portable Go elsewhere, the same
+// bits either way). The float64 weight matrix is never materialized and a
+// product builds nothing that outlives it, so a model running on
+// QuantizedLinear layers keeps only the compressed representation resident
+// (W.SizeBytes, pinned by quant's TestPackedProductBuildsNoResidentState)
+// — the memory footprint the paper's "Avg bit" tables promise.
 //
 // Forward output is bit-identical to Linear.Forward over the dequantized
 // weights (property-tested in qlinear_test.go). It is a deployment-time
@@ -66,9 +68,9 @@ func (l *QuantizedLinear) Forward(x *tensor.Mat) *tensor.Mat {
 }
 
 // ForwardInto computes y = x·Wᵀ (+ bias) into out straight from the
-// packed codes. Multi-row inputs (the chunked prefill shape) decode each
-// weight row once for all their rows; the result is bit-identical to
-// Forward either way.
+// packed codes. Multi-row inputs (a prefill chunk, or one row from each
+// slot of a decode tick) decode each weight tile once for all their rows;
+// the result is bit-identical to Forward either way.
 //
 //aptq:noalloc
 func (l *QuantizedLinear) ForwardInto(out, x *tensor.Mat) {

@@ -49,8 +49,12 @@ func packedFromFloat(t *testing.T, w *tensor.Mat, bits, groupSize int, rowBits [
 // execution path: QuantizedLinear.Forward must be exactly equal (not
 // approximately) to Dequantize() + Linear.Forward on every tested shape,
 // bit width, group size and mixed-precision pattern, at every worker
-// count.
+// count and under both leaves of the packed product.
 func TestQuantizedLinearBitIdentical(t *testing.T) {
+	forEachLeaf(t, testQuantizedLinearBitIdentical)
+}
+
+func testQuantizedLinearBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct{ out, in, group int }{
 		{1, 1, 1}, {2, 3, 2}, {5, 7, 3}, {13, 11, 4}, {31, 17, 16}, {48, 48, 16}, {7, 23, 64},

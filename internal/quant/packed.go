@@ -14,7 +14,9 @@ import (
 // affine parameters, with nothing materialized to float64. It is what an
 // edge deployment keeps resident — QuantizedMatrix is the manipulation
 // format, PackedMatrix the serving format — and its matmul kernel
-// dequantizes group-by-group on the fly, honoring per-row mixed precision.
+// dequantizes on the fly, honoring per-row mixed precision: eight weight
+// rows at a time into a k-major tile that lives only in a pooled scratch
+// (decodeTile), multiplied by the macTile leaf (MatMulNTInto).
 //
 // Each row's stream starts at a byte boundary (RowOff), so rows with
 // different bit widths decode independently at the cost of at most 7
@@ -37,9 +39,10 @@ type PackedMatrix struct {
 	// Params[r*numGroups + g].
 	Params []GroupParams
 
-	// pool recycles the per-worker row-decode buffers of the matmul kernel
-	// so steady-state matrix products allocate nothing; it is the only
-	// state a product adds to the packed form.
+	// pool recycles the per-worker decode scratch of the matmul kernel (one
+	// tile of decodeBlockRows rows plus a spare row) so steady-state matrix
+	// products allocate nothing; it is the only state a product adds to the
+	// packed form.
 	pool sync.Pool
 }
 
@@ -150,7 +153,7 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // (len >= Cols), group by group straight from the bit stream. The decoded
 // values are bit-identical to Dequantize() of the source QuantizedMatrix.
 // It is the reference every other decoder is tested against and the
-// kernel's decoder for every row decodeRows has no byte-wise one for.
+// kernel's decoder for every row decodeTile has no byte-wise one for.
 //
 //aptq:noalloc
 func (p *PackedMatrix) DecodeRowInto(dst []float64, r int) {
@@ -214,31 +217,36 @@ func (p *PackedMatrix) Dequantize() *tensor.Mat {
 }
 
 // decodeBlockRows is the number of weight rows each matmul worker decodes
-// together before running the inner products: enough that a multi-row x
-// reuses every decoded block from cache, small enough that the per-worker
-// scratch stays a few KiB.
+// together — the tile width — before running the inner products: one k of
+// the tile is 64 bytes (a cache line, two AVX2 vectors), a multi-row x
+// reuses every decoded tile from cache, and the per-worker scratch stays a
+// few KiB.
 const decodeBlockRows = 8
 
-// getDecodeBuf returns a pooled decodeBlockRows x Cols scratch buffer.
-func (p *PackedMatrix) getDecodeBuf() *[]float64 {
+// getScratch returns the pooled per-worker scratch of a product:
+// (decodeBlockRows+1) x Cols float64s — the k-major tile followed by the
+// one spare row decodeTile's reference path decodes into.
+func (p *PackedMatrix) getScratch() *[]float64 {
 	if v, ok := p.pool.Get().(*[]float64); ok {
 		return v
 	}
-	b := make([]float64, decodeBlockRows*p.Cols) //aptq:ignore noalloc pool-miss path: the buffer enters the pool and the steady state reuses it
+	b := make([]float64, (decodeBlockRows+1)*p.Cols) //aptq:ignore noalloc pool-miss path: the buffer enters the pool and the steady state reuses it
 	return &b
 }
 
 // MatMulNTInto computes out = x·Wᵀ for x (n x Cols) against the packed
-// weight matrix W (Rows x Cols), dequantizing W a block of rows at a time
-// into a pooled per-worker scratch buffer (decodeRows: byte-aligned 4-bit
-// and 2-bit rows through the byte-wise decoders, the rest through
-// DecodeRowInto), so a multi-row x (a prompt chunk, or one row from each
-// session of a decode tick) pays each weight row's decode once for all its
-// rows and nothing but the packed form stays resident. Weight rows
-// (output columns) partition across workers; each output element
+// weight matrix W (Rows x Cols), dequantizing W a tile of decodeBlockRows
+// rows at a time into a pooled per-worker scratch buffer (decodeTile:
+// byte-aligned 4-bit and 2-bit rows through the byte-wise tile decoders,
+// the rest through DecodeRowInto) and handing each tile to the macTile
+// leaf, so a multi-row x (a prompt chunk, or one row from each session of
+// a decode tick) pays each weight row's decode once for all its rows and
+// nothing but the packed form stays resident. Weight rows (output columns)
+// partition across workers on tile boundaries; each output element
 // accumulates its k-terms in ascending order from a zero accumulator — the
 // exact inner-loop order of tensor.MatMulNTInto — so the result is
-// bit-identical to MatMulNT(x, W.Dequantize()) at any worker count.
+// bit-identical to MatMulNT(x, W.Dequantize()) at any worker count and
+// under either body of the leaf.
 func (p *PackedMatrix) MatMulNTInto(out, x *tensor.Mat) {
 	if x.Cols != p.Cols || out.Rows != x.Rows || out.Cols != p.Rows {
 		panic(fmt.Sprintf("quant: packed MatMulNT shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
@@ -253,52 +261,18 @@ func (p *PackedMatrix) MatMulNTInto(out, x *tensor.Mat) {
 	})
 }
 
-// matMulNTRange computes output columns [lo, hi) of out = x·Wᵀ, decoding
-// the owned weight rows block by block through a pooled scratch buffer.
-// Four rows of x run together against each decoded weight row — four
-// independent accumulator chains sharing the streamed row, the same
-// latency-hiding blocking as tensor's kernel — while every output element
-// keeps its ascending-k accumulation order, so the result stays
-// bit-identical to the dequantized float matmul.
+// matMulNTRange computes output columns [lo, hi) of out = x·Wᵀ: it decodes
+// the owned weight rows tile by tile through a pooled scratch buffer and
+// runs the macTile leaf on each. The leaf is the only part of the product
+// with more than one body; decode, blocking and partition are shared.
 func (p *PackedMatrix) matMulNTRange(out, x *tensor.Mat, lo, hi int) {
-	n := out.Cols
-	buf := p.getDecodeBuf()
-	w := *buf
+	buf := p.getScratch()
+	tile, spare := (*buf)[:decodeBlockRows*p.Cols], (*buf)[decodeBlockRows*p.Cols:]
+	ng := p.NumGroups()
 	for j0 := lo; j0 < hi; j0 += decodeBlockRows {
-		j1 := j0 + decodeBlockRows
-		if j1 > hi {
-			j1 = hi
-		}
-		p.decodeRows(w, j0, j1-j0)
-		i := 0
-		for ; i+3 < x.Rows; i += 4 {
-			x0, x1, x2, x3 := x.Row(i), x.Row(i+1), x.Row(i+2), x.Row(i+3)
-			for j := j0; j < j1; j++ {
-				wrow := w[(j-j0)*p.Cols : (j-j0+1)*p.Cols]
-				var s0, s1, s2, s3 float64
-				for k, wv := range wrow {
-					s0 += x0[k] * wv
-					s1 += x1[k] * wv
-					s2 += x2[k] * wv
-					s3 += x3[k] * wv
-				}
-				out.Data[i*n+j] = s0
-				out.Data[(i+1)*n+j] = s1
-				out.Data[(i+2)*n+j] = s2
-				out.Data[(i+3)*n+j] = s3
-			}
-		}
-		for ; i < x.Rows; i++ {
-			xrow := x.Row(i)
-			for j := j0; j < j1; j++ {
-				wrow := w[(j-j0)*p.Cols : (j-j0+1)*p.Cols]
-				s := 0.0
-				for k, xv := range xrow {
-					s += xv * wrow[k]
-				}
-				out.Data[i*n+j] = s
-			}
-		}
+		width := min(decodeBlockRows, hi-j0)
+		p.decodeTile(tile, spare, j0, width, ng)
+		macTile(out, x, j0, width, tile) //aptq:ignore noalloc the leaf variable holds macTileGo or macTileAVX2, each a //aptq:noalloc root
 	}
 	p.pool.Put(buf)
 }
@@ -310,18 +284,17 @@ func (p *PackedMatrix) MatMulNT(x *tensor.Mat) *tensor.Mat {
 	return out
 }
 
-// rowGrainPacked mirrors tensor's chunk sizing: enough weight rows per
+// rowGrainPacked mirrors tensor's chunk sizing — enough weight rows per
 // chunk that one chunk carries roughly 1<<15 multiply-adds (plus the row
-// decode, which is linear in Cols and amortized by the same constant).
+// decode, which is linear in Cols and amortized by the same constant) —
+// rounded down to whole tiles, so every chunk starts on a tile boundary
+// and only a matrix's last tile can be partial.
 func rowGrainPacked(opsPerRow int) int {
 	if opsPerRow <= 0 {
-		return 1
+		return decodeBlockRows
 	}
-	g := (1 << 15) / opsPerRow
-	if g < 1 {
-		g = 1
-	}
-	return g
+	g := (1 << 15) / opsPerRow / decodeBlockRows * decodeBlockRows
+	return max(g, decodeBlockRows)
 }
 
 // SizeBytes returns the resident memory footprint of the packed form: the

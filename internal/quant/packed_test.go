@@ -151,10 +151,13 @@ func TestNewPackedFromStreamValidates(t *testing.T) {
 	}
 }
 
-func TestPackedMatMulNTBitIdentical(t *testing.T) {
+func TestPackedMatMulNTBitIdentical(t *testing.T) { forEachLeaf(t, testPackedMatMulNTBitIdentical) }
+
+func testPackedMatMulNTBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := []struct{ rows, cols, group, xrows int }{
 		{1, 1, 1, 1}, {3, 5, 2, 2}, {13, 7, 4, 3}, {31, 17, 16, 5}, {16, 48, 16, 1},
+		{7, 3, 4, 1}, {9, 48, 16, 4}, // partial last tile at one and at four rows of x
 	}
 	for _, sh := range shapes {
 		for bits := 1; bits <= 8; bits++ {
